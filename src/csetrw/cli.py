@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
     UnknownReferenceError,
 )
-from .instance import validate_instance
 from .jsonio import (
     Workspace,
     cospan_to_obj,
@@ -67,7 +66,11 @@ def cmd_validate(args) -> int:
         if kind == "schema":
             violations = validate_schema(ws.resolve(Path(path).stem))
         elif kind == "instance":
-            violations = validate_instance(parse_instance(obj, ws.resolve, checked=False))
+            try:
+                parse_instance(obj, ws.resolve)
+                violations = []
+            except InvalidInstanceError as exc:
+                violations = exc.violations
         else:
             print(f"{path}: no validator for {kind} documents")
             continue
@@ -154,6 +157,13 @@ def cmd_colimit(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def cmd_gen_mesh(args) -> int:
     mesh = gen_mesh(args.rows, args.cols)
     ref = args.schema_ref
@@ -215,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_colimit)
 
     p = sub.add_parser("gen-mesh", help="generate a triangulated grid mesh")
-    p.add_argument("rows", type=int)
-    p.add_argument("cols", type=int)
+    p.add_argument("rows", type=_positive_int)
+    p.add_argument("cols", type=_positive_int)
     p.add_argument("--schema-ref", help="emit this schema name instead of inlining")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_mesh)

@@ -1,10 +1,13 @@
 """Componentwise (co)limits of C-set instances.
 
 Everything here reduces to finite-set constructions applied one object at
-a time: pushouts quotient a disjoint union with union-find, pullbacks
-enumerate agreeing pairs, and the partial map classifier decorates parts
-with subfunctors of representables. Columns always descend to the
-constructed instances because the inputs are natural.
+a time. Pushouts, coproducts and diagram colimits share one quotient of a
+disjoint union by union-find: summands stack in order (B before C;
+diagram nodes in declaration order) and classes are numbered by their
+smallest part. Pullbacks enumerate agreeing pairs, and the partial map
+classifier decorates parts with subfunctors of representables. Columns
+always descend to the constructed instances because the inputs are
+natural.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .errors import ComplementViolationsError, NotMonicError
 from .instance import CSetInstance, delete_parts, make_instance
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
-from .transform import Transformation, identity
+from .transform import Transformation, identity, is_natural
 
 
 @dataclass
@@ -101,85 +104,119 @@ def cocone_induced(
     return Transformation(apex, u.cod, comp)
 
 
+def _quotient(
+    summands: list[CSetInstance], glue: list[tuple[int, int, dict]]
+) -> tuple[CSetInstance, list[dict[str, list[int]]]]:
+    """Quotient of the disjoint union of `summands`, one object at a time.
+
+    Each glue entry (i, j, pairs) identifies part p of summand i with part
+    q of summand j for every (p, q) in pairs[obj]. Parts stack in summand
+    order and classes are numbered densely by their smallest slot. Returns
+    the apex and, per summand, the class of each of its parts.
+    """
+    schema = summands[0].schema
+    if any(x.schema != schema for x in summands):
+        raise ValueError("colimit summands must share a schema")
+    offsets: list[dict[str, int]] = []
+    total = {obj: 0 for obj in schema.objects}
+    for x in summands:
+        offsets.append(dict(total))
+        for obj in schema.objects:
+            total[obj] += x.card[obj]
+    card: dict[str, int] = {}
+    classes: dict[str, list[int]] = {}
+    for obj in schema.objects:
+        uf = _UnionFind(total[obj])
+        for i, j, pairs in glue:
+            shift_i, shift_j = offsets[i][obj] - 1, offsets[j][obj] - 1
+            for p, q in pairs[obj]:
+                uf.union(shift_i + p, shift_j + q)
+        # a root is the smallest slot of its class, so it is met first
+        ids = [0] * total[obj]
+        n = 0
+        for slot in range(total[obj]):
+            root = uf.find(slot)
+            if root == slot:
+                n += 1
+                ids[slot] = n
+            else:
+                ids[slot] = ids[root]
+        card[obj], classes[obj] = n, ids
+    columns: dict[str, list[int]] = {}
+    for gen in schema.generators:
+        dom_ids, cod_ids = classes[gen.dom], classes[gen.cod]
+        col = [0] * card[gen.dom]
+        for x, offset in zip(summands, offsets):
+            shift = offset[gen.cod] - 1
+            for slot, value in enumerate(x.column[gen.name], start=offset[gen.dom]):
+                col[dom_ids[slot] - 1] = cod_ids[shift + value]
+        columns[gen.name] = col
+    legs = [
+        {obj: classes[obj][offset[obj] : offset[obj] + x.card[obj]] for obj in schema.objects}
+        for x, offset in zip(summands, offsets)
+    ]
+    return make_instance(schema, card, columns), legs
+
+
 def pushout(f: Transformation, g: Transformation) -> PushoutResult:
     """Pushout of B <-f- A -g-> C, componentwise over each object.
 
-    The apex quotients B + C by f(a) ~ g(a); class representatives are the
-    smallest members (B parts first), and apex parts are numbered densely
-    in representative order.
+    The apex quotients B + C by f(a) ~ g(a); apex parts are numbered
+    densely by the smallest member of their class (B parts first).
     """
     if f.dom != g.dom:
         raise ValueError("pushout requires a shared domain")
-    a, b, c = f.dom, f.cod, g.cod
-    schema = a.schema
-    uf: dict[str, _UnionFind] = {}
-    for obj in schema.objects:
-        uf[obj] = _UnionFind(b.card[obj] + c.card[obj])
-        for part in a.parts(obj):
-            uf[obj].union(f.comp[obj][part - 1] - 1, b.card[obj] + g.comp[obj][part - 1] - 1)
-    class_id: dict[str, dict[int, int]] = {}
-    card: dict[str, int] = {}
-    for obj in schema.objects:
-        roots = sorted({uf[obj].find(i) for i in range(b.card[obj] + c.card[obj])})
-        class_id[obj] = {root: i + 1 for i, root in enumerate(roots)}
-        card[obj] = len(roots)
-
-    def slot_class(obj: str, slot: int) -> int:
-        return class_id[obj][uf[obj].find(slot)]
-
-    columns: dict[str, list[int]] = {}
-    for gen in schema.generators:
-        col = [0] * card[gen.dom]
-        for part in b.parts(gen.dom):
-            col[slot_class(gen.dom, part - 1) - 1] = slot_class(gen.cod, b.apply(gen.name, part) - 1)
-        for part in c.parts(gen.dom):
-            col[slot_class(gen.dom, b.card[gen.dom] + part - 1) - 1] = slot_class(
-                gen.cod, b.card[gen.cod] + c.apply(gen.name, part) - 1
-            )
-        columns[gen.name] = col
-    apex = make_instance(schema, card, columns)
-    leg_b = Transformation(
-        b, apex, {obj: [slot_class(obj, i) for i in range(b.card[obj])] for obj in schema.objects}
-    )
-    leg_c = Transformation(
-        c,
-        apex,
-        {
-            obj: [slot_class(obj, b.card[obj] + i) for i in range(c.card[obj])]
-            for obj in schema.objects
-        },
-    )
-    return PushoutResult(apex, leg_b, leg_c, f, g)
+    b, c = f.cod, g.cod
+    glue = {obj: zip(f.comp[obj], g.comp[obj]) for obj in b.schema.objects}
+    apex, (comp_b, comp_c) = _quotient([b, c], [(0, 1, glue)])
+    return PushoutResult(apex, Transformation(b, apex, comp_b), Transformation(c, apex, comp_c), f, g)
 
 
 def coproduct(instances: list[CSetInstance]) -> tuple[CSetInstance, list[Transformation]]:
     """Disjoint union with injections; parts stack in argument order."""
     if not instances:
         raise ValueError("coproduct of no instances needs an explicit schema")
-    schema = instances[0].schema
-    card = {obj: sum(x.card[obj] for x in instances) for obj in schema.objects}
-    columns: dict[str, list[int]] = {g.name: [] for g in schema.generators}
-    offsets: list[dict[str, int]] = []
-    running = {obj: 0 for obj in schema.objects}
-    for x in instances:
-        if x.schema != schema:
-            raise ValueError("coproduct requires a shared schema")
-        offsets.append(dict(running))
-        for gen in schema.generators:
-            shift = running[gen.cod]
-            columns[gen.name].extend(v + shift for v in x.column[gen.name])
-        for obj in schema.objects:
-            running[obj] += x.card[obj]
-    apex = make_instance(schema, card, columns)
-    injections = [
-        Transformation(
-            x,
-            apex,
-            {obj: [offsets[i][obj] + p for p in x.parts(obj)] for obj in schema.objects},
-        )
-        for i, x in enumerate(instances)
+    apex, comps = _quotient(instances, [])
+    return apex, [Transformation(x, apex, comp) for x, comp in zip(instances, comps)]
+
+
+@dataclass
+class Diagram:
+    """A finite shape graph labelled with instances and transformations."""
+
+    nodes: list[tuple[str, CSetInstance]]
+    arrows: list[tuple[str, str, Transformation]]
+
+    def __post_init__(self):
+        labels = dict(self.nodes)
+        if len(labels) != len(self.nodes):
+            raise ValueError("diagram node ids must be unique")
+        for src, tgt, t in self.arrows:
+            if src not in labels or tgt not in labels:
+                raise ValueError(f"arrow {src!r} -> {tgt!r} references an unknown node")
+            if t.dom != labels[src] or t.cod != labels[tgt]:
+                raise ValueError(f"arrow {src!r} -> {tgt!r} label has wrong endpoints")
+            if is_natural(t):
+                raise ValueError(f"arrow {src!r} -> {tgt!r} label is not natural")
+
+
+def diagram_colimit(d: Diagram) -> tuple[CSetInstance, dict[str, Transformation]]:
+    """Colimit apex plus one cocone leg per node.
+
+    The node labels stack in declaration order and every arrow glues each
+    part of its source to the part's image in its target.
+    """
+    if not d.nodes:
+        raise ValueError("diagram colimit needs at least one node")
+    position = {node_id: i for i, (node_id, _) in enumerate(d.nodes)}
+    glue = [
+        (position[src], position[tgt], {obj: enumerate(col, start=1) for obj, col in t.comp.items()})
+        for src, tgt, t in d.arrows
     ]
-    return apex, injections
+    apex, comps = _quotient([x for _, x in d.nodes], glue)
+    return apex, {
+        node_id: Transformation(x, apex, comp) for (node_id, x), comp in zip(d.nodes, comps)
+    }
 
 
 @dataclass
@@ -268,13 +305,8 @@ class DanglingViolation:
         return f"surviving part {self.part} references a deleted part via {self.generator!r}"
 
 
-def check_pushout_complement(f: Transformation, g: Transformation) -> list:
-    """Identification and dangling conditions for A -f-> B -g-> C.
-
-    Identification: parts of B merged by g must come from f's image.
-    Dangling: a part of C whose image under some column is slated for
-    deletion must itself be slated for deletion.
-    """
+def _complement_pass(f: Transformation, g: Transformation) -> tuple[dict[str, set[int]], list]:
+    """Parts of C that A -f-> B -g-> C deletes, and the violated conditions."""
     if f.cod != g.dom:
         raise ValueError("check requires composable transformations")
     if not f.is_monic():
@@ -282,18 +314,18 @@ def check_pushout_complement(f: Transformation, g: Transformation) -> list:
     schema = f.dom.schema
     b, c = f.cod, g.cod
     out: list = []
-    preserved = {obj: f.image(obj) for obj in schema.objects}
-    deleted = {
-        obj: {g.comp[obj][p - 1] for p in b.parts(obj) if p not in preserved[obj]}
-        for obj in schema.objects
-    }
+    deleted: dict[str, set[int]] = {}
     for obj in schema.objects:
+        preserved = f.image(obj)
+        deleted[obj] = set()
         seen: dict[int, int] = {}
         for part in b.parts(obj):
             image = g.comp[obj][part - 1]
+            if part not in preserved:
+                deleted[obj].add(image)
             if image in seen:
                 first = seen[image]
-                if not (first in preserved[obj] and part in preserved[obj]):
+                if not (first in preserved and part in preserved):
                     out.append(IdentificationViolation(obj, first, part))
             else:
                 seen[image] = part
@@ -301,7 +333,17 @@ def check_pushout_complement(f: Transformation, g: Transformation) -> list:
         for part in c.parts(gen.dom):
             if c.apply(gen.name, part) in deleted[gen.cod] and part not in deleted[gen.dom]:
                 out.append(DanglingViolation(gen.name, part))
-    return out
+    return deleted, out
+
+
+def check_pushout_complement(f: Transformation, g: Transformation) -> list:
+    """Identification and dangling conditions for A -f-> B -g-> C.
+
+    Identification: parts of B merged by g must come from f's image.
+    Dangling: a part of C whose image under some column is slated for
+    deletion must itself be slated for deletion.
+    """
+    return _complement_pass(f, g)[1]
 
 
 def pushout_complement(
@@ -310,18 +352,14 @@ def pushout_complement(
     """Unique D with A -> D -> C completing the square as a pushout.
 
     D is C minus the non-preserved image of B, compacted densely; the
-    returned maps are A -> D and the (monic) inclusion D -> C.
+    returned maps are A -> D and the (monic) inclusion D -> C. Raises
+    ComplementViolationsError with the check's violations otherwise.
     """
-    violations = check_pushout_complement(f, g)
+    deleted, violations = _complement_pass(f, g)
     if violations:
         raise ComplementViolationsError(violations)
     schema = f.dom.schema
-    b, c = f.cod, g.cod
-    preserved = {obj: f.image(obj) for obj in schema.objects}
-    deleted = {
-        obj: {g.comp[obj][p - 1] for p in b.parts(obj) if p not in preserved[obj]}
-        for obj in schema.objects
-    }
+    c = g.cod
     d, renumber = delete_parts(c, deleted)
     a_to_d = Transformation(
         f.dom,

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ParseError, UnknownReferenceError
-from .instance import CSetInstance, make_instance, validate_instance, build_index
+from .instance import CSetInstance, make_instance
 from .open_systems import Diagram, StructuredCospan
 from .rewrite import KINDS, Rule
 from .schema import Generator, SchemaPath, SchemaPresentation
@@ -66,7 +66,7 @@ def instance_to_obj(x: CSetInstance, schema_ref: str | None = None) -> dict:
     }
 
 
-def parse_instance(obj, resolver: Resolver | None = None, *, checked: bool = True) -> CSetInstance:
+def parse_instance(obj, resolver: Resolver | None = None) -> CSetInstance:
     ref = _require(obj, "schema", "instance")
     if isinstance(ref, str):
         if resolver is None:
@@ -76,14 +76,7 @@ def parse_instance(obj, resolver: Resolver | None = None, *, checked: bool = Tru
         schema = parse_schema(ref)
     card = {str(k): int(v) for k, v in _require(obj, "card", "instance").items()}
     columns = {str(k): [int(v) for v in col] for k, col in _require(obj, "columns", "instance").items()}
-    if checked:
-        return make_instance(schema, card, columns)
-    full_card = {o: card.get(o, 0) for o in schema.objects}
-    full_cols = {g.name: columns.get(g.name, []) for g in schema.generators}
-    inst = CSetInstance(schema, full_card, full_cols)
-    if not validate_instance(inst):
-        inst.index = build_index(inst)
-    return inst
+    return make_instance(schema, card, columns)
 
 
 def transformation_to_obj(t: Transformation) -> dict:

@@ -2,14 +2,15 @@
 
 Slices constrain instances by a typing morphism into a fixed base
 instance; structured cospans expose discrete boundaries for gluing open
-systems; diagrams of instances are assembled by colimit.
+systems. Diagrams of instances and their colimits are defined in
+`colimits` and re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colimits import _UnionFind, coproduct, pushout, pushout_complement, check_pushout_complement
+from .colimits import Diagram, cocone_induced, diagram_colimit, pushout, pushout_complement
 from .errors import (
     CommutativityFailureError,
     ComplementViolationsError,
@@ -19,7 +20,7 @@ from .errors import (
 from .instance import CSetInstance, make_instance
 from .rewrite import RewriteOutcome, Rule, rewrite_dpo
 from .schema import Generator, SchemaPath, SchemaPresentation
-from .transform import Transformation, is_natural
+from .transform import Transformation, identity, is_natural
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +195,6 @@ def slice_rewrite(
         raise TypingMismatchError("match does not commute with the typings")
     outcome = rewrite_dpo(rule, match)
     t_k = outcome.maps["k_to_g"].compose(t_g)
-    from .colimits import cocone_induced
-
     t_result = cocone_induced(
         outcome.maps["r_to_result"], outcome.maps["k_to_result"], t_r, t_k
     )
@@ -253,8 +252,6 @@ class StructuredCospan:
 
 
 def identity_cospan(foot: CSetInstance) -> StructuredCospan:
-    from .transform import identity
-
     return StructuredCospan(identity(foot), identity(foot))
 
 
@@ -314,13 +311,15 @@ def open_rewrite(rule: OpenRule, match: CospanMorphism) -> OpenRewriteOutcome:
         "apex": (rule.l.apex_map, match.apex_map, rule.r.apex_map),
         "out": (rule.l.out_map, match.out_map, rule.r.out_map),
     }
+    comp = {}
     violations = []
     for level, (l_map, m_map, _) in levels.items():
-        for v in check_pushout_complement(l_map, m_map):
-            violations.append((level, v))
+        try:
+            comp[level] = pushout_complement(l_map, m_map)
+        except ComplementViolationsError as exc:
+            violations.extend((level, v) for v in exc.violations)
     if violations:
         raise ComplementViolationsError(violations)
-    comp = {level: pushout_complement(l_map, m_map) for level, (l_map, m_map, _) in levels.items()}
     g_cospan = match.cod
 
     def induced_leg(foot_level: str, g_leg: Transformation) -> Transformation:
@@ -373,79 +372,3 @@ def open_rewrite(rule: OpenRule, match: CospanMorphism) -> OpenRewriteOutcome:
         for level in levels
     }
     return OpenRewriteOutcome(result=h_cospan, k=k_cospan, maps=maps)
-
-
-# ---------------------------------------------------------------------------
-# Diagrams
-
-
-@dataclass
-class Diagram:
-    """A finite shape graph labelled with instances and transformations."""
-
-    nodes: list[tuple[str, CSetInstance]]
-    arrows: list[tuple[str, str, Transformation]]
-
-    def __post_init__(self):
-        labels = dict(self.nodes)
-        if len(labels) != len(self.nodes):
-            raise ValueError("diagram node ids must be unique")
-        for src, tgt, t in self.arrows:
-            if src not in labels or tgt not in labels:
-                raise ValueError(f"arrow {src!r} -> {tgt!r} references an unknown node")
-            if t.dom != labels[src] or t.cod != labels[tgt]:
-                raise ValueError(f"arrow {src!r} -> {tgt!r} label has wrong endpoints")
-            if is_natural(t):
-                raise ValueError(f"arrow {src!r} -> {tgt!r} label is not natural")
-
-
-def diagram_colimit(d: Diagram) -> tuple[CSetInstance, dict[str, Transformation]]:
-    """Colimit apex plus one cocone leg per node.
-
-    Computed as the coproduct of the node labels coequalized along every
-    arrow, with the same union-find quotient used by pushouts.
-    """
-    if not d.nodes:
-        raise ValueError("diagram colimit needs at least one node")
-    ids = [node_id for node_id, _ in d.nodes]
-    labels = dict(d.nodes)
-    schema = d.nodes[0][1].schema
-    total, injections = coproduct([inst for _, inst in d.nodes])
-    inj = dict(zip(ids, injections))
-    uf = {obj: _UnionFind(total.card[obj]) for obj in schema.objects}
-    for src, tgt, t in d.arrows:
-        for obj in schema.objects:
-            for part in labels[src].parts(obj):
-                uf[obj].union(
-                    inj[src].comp[obj][part - 1] - 1,
-                    inj[tgt].comp[obj][t.comp[obj][part - 1] - 1] - 1,
-                )
-    class_id: dict[str, dict[int, int]] = {}
-    card: dict[str, int] = {}
-    for obj in schema.objects:
-        roots = sorted({uf[obj].find(i) for i in range(total.card[obj])})
-        class_id[obj] = {root: i + 1 for i, root in enumerate(roots)}
-        card[obj] = len(roots)
-
-    def cls(obj: str, part: int) -> int:
-        return class_id[obj][uf[obj].find(part - 1)]
-
-    columns = {
-        gen.name: [0] * card[gen.dom] for gen in schema.generators
-    }
-    for gen in schema.generators:
-        for part in total.parts(gen.dom):
-            columns[gen.name][cls(gen.dom, part) - 1] = cls(gen.cod, total.apply(gen.name, part))
-    apex = make_instance(schema, card, columns)
-    legs = {
-        node_id: Transformation(
-            labels[node_id],
-            apex,
-            {
-                obj: [cls(obj, inj[node_id].comp[obj][p - 1]) for p in labels[node_id].parts(obj)]
-                for obj in schema.objects
-            },
-        )
-        for node_id in ids
-    }
-    return apex, legs

@@ -9,13 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colimits import (
-    check_pushout_complement,
-    final_pullback_complement,
-    pushout,
-    pushout_complement,
-)
-from .errors import MatchNotNaturalError, NotMonicError
+from .colimits import final_pullback_complement, pushout, pushout_complement
+from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
 from .instance import CSetInstance, restrict
 from .search import SearchOptions, homomorphisms
 from .transform import Transformation, is_natural
@@ -251,18 +246,19 @@ def rewrite(rule: Rule, match: Transformation) -> RewriteOutcome:
 def find_and_rewrite(
     rule: Rule, g: CSetInstance, opts: SearchOptions | None = None
 ) -> list[RewriteOutcome]:
-    """Enumerate matches, filter the applicable ones, rewrite each.
+    """Enumerate matches and rewrite at each applicable one.
 
-    Every outcome is computed from the original instance; inapplicable
-    DPO matches (identification or dangling failures) are skipped rather
-    than reported.
+    Every outcome is computed from the original instance. A DPO match is
+    skipped, not reported, when its pushout complement is refused for
+    identification or dangling violations.
     """
     opts = opts or SearchOptions()
     if rule.kind == SQPO:
         opts = SearchOptions(monic=True, initial=opts.initial, limit=opts.limit, mrv=opts.mrv)
     outcomes = []
     for match in homomorphisms(rule.lhs, g, opts):
-        if rule.kind == DPO and check_pushout_complement(rule.l, match):
+        try:
+            outcomes.append(rewrite(rule, match))
+        except ComplementViolationsError:
             continue
-        outcomes.append(rewrite(rule, match))
     return outcomes

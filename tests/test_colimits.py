@@ -6,9 +6,11 @@ import pytest
 
 from csetrw.colimits import (
     DanglingViolation,
+    Diagram,
     IdentificationViolation,
     check_pushout_complement,
     coproduct,
+    diagram_colimit,
     final_pullback_complement,
     partial_map_classifier,
     pullback,
@@ -76,6 +78,32 @@ def test_coproduct_injections(graph, small_graph):
     assert apex.card == {"V": 6, "E": 6}
     assert i1.comp["V"] == [1, 2, 3] and i2.comp["V"] == [4, 5, 6]
     assert is_natural(i1) == [] and is_natural(i2) == []
+
+
+def test_pushout_coproduct_and_diagram_colimit_share_one_numbering():
+    rng = random.Random(41)
+    spans = 0
+    for _ in range(60):
+        schema = random_acyclic_schema(rng)
+        xs = [random_instance(rng, schema, max_parts=3) for _ in range(rng.randint(1, 3))]
+        total, injections = coproduct(xs)
+        apex, legs = diagram_colimit(Diagram([(f"x{i}", x) for i, x in enumerate(xs)], []))
+        assert apex == total
+        assert [legs[f"x{i}"] for i in range(len(xs))] == injections
+        a, b, c = (random_instance(rng, schema, max_parts=n) for n in (2, 3, 3))
+        fs, gs = brute_homs(a, b), brute_homs(a, c)
+        if not fs or not gs:
+            continue
+        f, g = rng.choice(fs), rng.choice(gs)
+        po = pushout(f, g)
+        # the apex of A stacks last, so every class's smallest part lies in B or C
+        span = Diagram([("B", b), ("C", c), ("A", a)], [("A", "B", f), ("A", "C", g)])
+        apex, legs = diagram_colimit(span)
+        assert apex == po.apex
+        assert legs["B"] == po.leg_b and legs["C"] == po.leg_c
+        assert legs["A"] == f.compose(po.leg_b)
+        spans += 1
+    assert spans >= 20
 
 
 def test_pullback_identity(graph, small_graph):

@@ -115,6 +115,19 @@ def test_cli_validate_reports_equation_violation(tmp_path, capsys):
     assert "INVALID" in out and "equation" in out
 
 
+def test_cli_validate_reports_unknown_names(tmp_path, capsys):
+    doc = load("small_graph.json")
+    doc["card"]["X"] = 5
+    doc["columns"]["loop"] = [1]
+    path = tmp_path / "unknown_names.json"
+    path.write_text(jsonio.dumps(doc))
+    code = main(["validate", str(path), "--schema", fixture("graph.json")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "INVALID (instance)" in out
+    assert "unknown name 'X'" in out and "unknown name 'loop'" in out
+
+
 def test_cli_validate_unknown_reference(tmp_path, capsys):
     doc = {"schema": "missing", "card": {}, "columns": {}}
     path = tmp_path / "orphan.json"
@@ -282,6 +295,16 @@ def test_cli_gen_mesh_matches_library(tmp_path):
     assert main(["gen-mesh", "2", "3", "-o", str(out)]) == 0
     parsed = jsonio.parse_instance(json.loads(out.read_text()))
     assert parsed == gen_mesh(2, 3)
+
+
+@pytest.mark.parametrize("rows, cols", [("0", "2"), ("2", "-1")])
+def test_cli_gen_mesh_rejects_empty_grid(rows, cols, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen-mesh", rows, cols])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "positive integer" in err
+    assert "Traceback" not in err
 
 
 def test_cli_gen_mesh_schema_ref(tmp_path):
