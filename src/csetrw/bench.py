@@ -7,6 +7,8 @@ only and depend on the machine.
 from __future__ import annotations
 
 import csv
+import math
+import statistics
 import time
 from typing import IO
 
@@ -18,28 +20,47 @@ TASKS = ("homsearch", "rewrite")
 FIELDS = ("size", "rows", "cols", "count", "seconds")
 
 
-def run_task(task: str, rows: int, cols: int) -> dict:
-    """One benchmark row: build the mesh, run the workload, time it."""
+# Each size is called until about SECONDS_PER_SIZE have been spent on it,
+# at least once, and its median call is reported. The calls of all sizes
+# are spread evenly over one schedule, so that a slow spell of a shared
+# machine falls on every size alike, and the median drops the calls that
+# a preemption or a garbage collection happened to hit.
+SECONDS_PER_SIZE = 0.1
+
+
+def _workload(task: str, rows: int, cols: int):
     if task not in TASKS:
         raise ValueError(f"unknown benchmark task {task!r}")
     mesh = gen_mesh(rows, cols)
-    start = time.perf_counter()
     if task == "homsearch":
-        count = len(homomorphisms(quad_pattern(), mesh))
-    else:
-        count = len(find_and_rewrite(flip_rule(), mesh, SearchOptions(monic=True)))
-    elapsed = time.perf_counter() - start
-    return {
-        "size": f"{rows}x{cols}",
-        "rows": rows,
-        "cols": cols,
-        "count": count,
-        "seconds": round(elapsed, 6),
-    }
+        pattern = quad_pattern()
+        return lambda: len(homomorphisms(pattern, mesh))
+    rule = flip_rule()
+    return lambda: len(find_and_rewrite(rule, mesh, SearchOptions(monic=True)))
+
+
+def _timed(call) -> tuple[int, float]:
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
 
 
 def run_bench(task: str, sizes: list[tuple[int, int]]) -> list[dict]:
-    return [run_task(task, rows, cols) for rows, cols in sizes]
+    calls = [_workload(task, rows, cols) for rows, cols in sizes]
+    counts, times, schedule = [], [], []
+    for i, call in enumerate(calls):
+        count, first = _timed(call)
+        counts.append(count)
+        times.append([first])
+        extra = math.ceil(SECONDS_PER_SIZE / first) - 1
+        schedule += [(k / extra, i) for k in range(extra)]
+    for _, i in sorted(schedule):
+        times[i].append(_timed(calls[i])[1])
+    return [
+        {"size": f"{rows}x{cols}", "rows": rows, "cols": cols, "count": count,
+         "seconds": round(statistics.median(ts), 6)}
+        for (rows, cols), count, ts in zip(sizes, counts, times)
+    ]
 
 
 def write_csv(rows: list[dict], fh: IO[str]) -> None:

@@ -8,6 +8,7 @@ operations that need it are restricted to acyclic schemas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CyclicSchemaError, EndpointMismatchError
 
@@ -37,7 +38,8 @@ class Generator:
 class SchemaPresentation:
     """Objects, generators and path equations, in declaration order.
 
-    Treated as immutable once validated; lookup tables are precomputed.
+    Treated as immutable once validated; lookup tables are precomputed
+    or, for those only search uses, cached on first use.
     """
 
     objects: list[str]
@@ -63,6 +65,34 @@ class SchemaPresentation:
 
     def outgoing(self, obj: str) -> list[Generator]:
         return self._outgoing[obj]
+
+    def incoming(self, obj: str) -> list[Generator]:
+        return self._incoming[obj]
+
+    @cached_property
+    def _incoming(self) -> dict[str, list[Generator]]:
+        return {o: [g for g in self.generators if g.cod == o] for o in self.objects}
+
+    @cached_property
+    def sources_first(self) -> list[str]:
+        """Objects by how many objects they reach along generators, most first.
+
+        Every object comes before each object it reaches that does not
+        reach it back: on an acyclic schema, before the codomains of its
+        generators; on a cyclic one, strongly connected components come
+        sources first. Ties keep declaration order. Computed on first
+        use, like `incoming`, so that parsing a schema does not pay for it.
+        """
+        return sorted(self.objects, key=lambda o: -self._reach_count(o))
+
+    def _reach_count(self, obj: str) -> int:
+        seen, todo = {obj}, [obj]
+        for cur in todo:
+            for gen in self._outgoing.get(cur, ()):
+                if gen.cod not in seen:
+                    seen.add(gen.cod)
+                    todo.append(gen.cod)
+        return len(seen)
 
     def __eq__(self, other):
         if not isinstance(other, SchemaPresentation):

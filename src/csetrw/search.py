@@ -4,13 +4,30 @@ The search treats parts of the pattern as variables and parts of the host
 as domain values. Assigning a part immediately forces the images of all
 its column successors, so a single branching decision fixes whole orbits
 and conflicts surface as early as possible.
+
+The branching order is fixed once per search, from the pattern alone.
+Each connected component of the pattern starts at a part of the most
+source-ward object (`SchemaPresentation.sources_first`: a triangle before
+its edges, an edge before its vertices) and grows breadth-first along
+columns and preimage indices. A part reached along a column is forced by
+its predecessor, so only the roots and the parts reached through a
+preimage index are branched on, and each of the latter draws its
+candidates from the host's preimage index of its already assigned
+target. Candidates come in ascending order and results are sorted, so
+the result list does not depend on the branching order; `limit` keeps
+the first matches found in that order, then sorts them. `mrv` is
+accepted and has no effect: past a component's root there is nothing
+left for a most-constrained-variable count to improve. Branching and
+propagation run on explicit stacks, so pattern size is not bounded by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .instance import CSetInstance
+from .instance import CSetInstance, build_index
 from .transform import Transformation
 
 
@@ -19,7 +36,36 @@ class SearchOptions:
     monic: bool = False
     initial: dict[str, dict[int, int]] | None = None
     limit: int | None = None
-    mrv: bool = False
+    mrv: bool = False  # accepted, has no effect (see the module docstring)
+
+
+def _branch_order(x: CSetInstance) -> list[tuple[str, int]]:
+    """The pattern parts the search branches on, in branching order."""
+    schema, column = x.schema, x.column
+    index = x.index if x.index is not None else build_index(x)
+    seen = {obj: [False] * n for obj, n in x.card.items()}
+    order: list[tuple[str, int]] = []
+    for root_obj in schema.sources_first:
+        root_seen = seen[root_obj]
+        for root in range(1, len(root_seen) + 1):
+            if root_seen[root - 1]:
+                continue
+            root_seen[root - 1] = True
+            order.append((root_obj, root))
+            queue = [(root_obj, root)]
+            for obj, part in queue:
+                for gen in schema.outgoing(obj):
+                    q = column[gen.name][part - 1]
+                    if not seen[gen.cod][q - 1]:
+                        seen[gen.cod][q - 1] = True
+                        queue.append((gen.cod, q))
+                for gen in schema.incoming(obj):
+                    for q in index[gen.name][part - 1]:
+                        if not seen[gen.dom][q - 1]:
+                            seen[gen.dom][q - 1] = True
+                            order.append((gen.dom, q))
+                            queue.append((gen.dom, q))
+    return order
 
 
 class _Search:
@@ -28,28 +74,38 @@ class _Search:
         self.y = y
         self.opts = opts
         self.assign = {obj: [0] * x.card[obj] for obj in x.schema.objects}
-        self.used = {obj: [False] * y.card[obj] for obj in x.schema.objects}
+        self.used = {obj: [False] * y.card[obj] for obj in x.schema.objects} if opts.monic else None
         self.trail: list[tuple[str, int]] = []
-        self.variables = [(obj, p) for obj in x.schema.objects for p in x.parts(obj)]
+        y_index = y.index if y.index is not None else build_index(y)
+        # per object: (codomain, pattern column, host column, host preimage index)
+        self.out = {
+            obj: [
+                (g.cod, x.column[g.name], y.column[g.name], y_index[g.name])
+                for g in x.schema.outgoing(obj)
+            ]
+            for obj in x.schema.objects
+        }
         self.results: list[Transformation] = []
 
     def _set(self, obj: str, part: int, value: int) -> bool:
         """Assign part -> value and propagate along all outgoing columns."""
-        current = self.assign[obj][part - 1]
-        if current:
-            return current == value
-        if not 1 <= value <= self.y.card[obj]:
-            return False
-        if self.opts.monic:
-            if self.used[obj][value - 1]:
-                return False
-            self.used[obj][value - 1] = True
-        self.assign[obj][part - 1] = value
-        self.trail.append((obj, part))
-        for gen in self.x.schema.outgoing(obj):
-            forced = self.y.column[gen.name][value - 1]
-            if not self._set(gen.cod, self.x.column[gen.name][part - 1], forced):
-                return False
+        assign, used, out, trail = self.assign, self.used, self.out, self.trail
+        pending = [(obj, part, value)]
+        while pending:
+            obj, part, value = pending.pop()
+            current = assign[obj][part - 1]
+            if current:
+                if current != value:
+                    return False
+                continue
+            if used is not None:
+                if used[obj][value - 1]:
+                    return False
+                used[obj][value - 1] = True
+            assign[obj][part - 1] = value
+            trail.append((obj, part))
+            for cod, x_col, y_col, _ in out[obj]:
+                pending.append((cod, x_col[part - 1], y_col[value - 1]))
         return True
 
     def _undo(self, mark: int) -> None:
@@ -57,37 +113,8 @@ class _Search:
             obj, part = self.trail.pop()
             value = self.assign[obj][part - 1]
             self.assign[obj][part - 1] = 0
-            if self.opts.monic:
+            if self.used is not None:
                 self.used[obj][value - 1] = False
-
-    def _candidates(self, obj: str, part: int) -> int:
-        """Cheap feasible-value count used by the MRV heuristic."""
-        count = 0
-        for value in range(1, self.y.card[obj] + 1):
-            if self.opts.monic and self.used[obj][value - 1]:
-                continue
-            ok = True
-            for gen in self.x.schema.outgoing(obj):
-                target = self.assign[gen.cod][self.x.column[gen.name][part - 1] - 1]
-                if target and self.y.column[gen.name][value - 1] != target:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
-
-    def _next_variable(self):
-        free = [(obj, p) for obj, p in self.variables if not self.assign[obj][p - 1]]
-        if not free:
-            return None
-        if not self.opts.mrv:
-            return free[0]
-        best, best_key = free[0], None
-        for i, var in enumerate(free):
-            key = (self._candidates(*var), i)
-            if best_key is None or key < best_key:
-                best, best_key = var, key
-        return best
 
     def _values(self, obj: str, part: int):
         """Candidate host parts, narrowed through the preimage indices.
@@ -96,14 +123,12 @@ class _Search:
         restricts the value to an indexed preimage list; intersecting
         those keeps ascending order, so enumeration stays deterministic.
         """
-        if self.y.index is None:
-            return range(1, self.y.card[obj] + 1)
         narrowed: list[int] | None = None
-        for gen in self.x.schema.outgoing(obj):
-            target = self.assign[gen.cod][self.x.column[gen.name][part - 1] - 1]
+        for cod, x_col, _, y_index in self.out[obj]:
+            target = self.assign[cod][x_col[part - 1] - 1]
             if not target:
                 continue
-            preimages = self.y.index[gen.name][target - 1]
+            preimages = y_index[target - 1]
             if narrowed is None:
                 narrowed = preimages
             else:
@@ -117,32 +142,44 @@ class _Search:
 
     def run(self) -> list[Transformation]:
         if self.opts.initial:
-            mark = len(self.trail)
             for obj, pins in self.opts.initial.items():
                 for part, value in pins.items():
-                    if not self._set(obj, part, value):
-                        self._undo(mark)
+                    if not (1 <= value <= self.y.card[obj] and self._set(obj, part, value)):
                         return []
-        self._branch()
+        self._branch(_branch_order(self.x))
         self.results.sort(key=lambda t: tuple(tuple(t.comp[o]) for o in self.x.schema.objects))
         return self.results
 
-    def _branch(self) -> bool:
-        """Depth-first enumeration; returns False once the limit is hit."""
-        var = self._next_variable()
-        if var is None:
-            comp = {obj: list(col) for obj, col in self.assign.items()}
-            self.results.append(Transformation(self.x, self.y, comp))
-            return self.opts.limit is None or len(self.results) < self.opts.limit
-        obj, part = var
-        for value in self._values(obj, part):
-            mark = len(self.trail)
-            if self._set(obj, part, value):
-                if not self._branch():
-                    self._undo(mark)
-                    return False
-            self._undo(mark)
-        return True
+    def _branch(self, order: list[tuple[str, int]]) -> None:
+        """Depth-first enumeration over `order`, stopping at the limit.
+
+        Each frame holds a position in `order`, the iterator over its
+        candidates and the trail mark to undo to before the next one.
+        """
+        assign, limit = self.assign, self.opts.limit
+        frames: list[tuple[int, Iterator[int], int]] = []
+        pos = 0
+        while True:
+            while pos < len(order) and assign[order[pos][0]][order[pos][1] - 1]:
+                pos += 1
+            if pos == len(order):
+                comp = {obj: list(col) for obj, col in assign.items()}
+                self.results.append(Transformation(self.x, self.y, comp))
+                if limit is not None and len(self.results) >= limit:
+                    return
+            else:
+                frames.append((pos, iter(self._values(*order[pos])), len(self.trail)))
+            while frames:
+                pos, values, mark = frames[-1]
+                self._undo(mark)
+                value = next(values, 0)
+                if not value:
+                    frames.pop()
+                elif self._set(*order[pos], value):
+                    pos += 1
+                    break
+            else:
+                return
 
 
 def homomorphisms(
@@ -153,7 +190,8 @@ def homomorphisms(
     Results come in a fixed order: components flattened by object
     declaration then part id, compared lexicographically. With
     opts.monic only injective-per-object maps are returned; opts.limit
-    truncates the search.
+    stops the search after that many matches in branching order (see
+    the module docstring), which are returned in the same fixed order.
     """
     if x.schema != y.schema:
         raise ValueError("homomorphism search requires a shared schema")

@@ -176,3 +176,33 @@ def test_without_equations(d2):
     assert bare.generators == d2.generators
     assert bare.equations == []
     assert len(hom_paths(bare, "T", "V")) == 6
+
+
+def test_sources_first_puts_objects_before_their_codomains(d2):
+    assert d2.sources_first == ["T", "E", "V"]
+    rng = random.Random(37)
+    for _ in range(50):
+        schema = random_acyclic_schema(rng)
+        order = schema.sources_first
+        assert sorted(order) == sorted(schema.objects)
+        pos = {obj: i for i, obj in enumerate(order)}
+        assert all(pos[g.dom] < pos[g.cod] for g in schema.generators)
+
+
+def test_sources_first_on_cycles_starts_at_a_source_component():
+    # two 2-cycles {A, B} and {C, D}, the first reaching the second
+    s = SchemaPresentation(
+        ["C", "D", "A", "B"],
+        [
+            Generator("f", "A", "B"),
+            Generator("g", "B", "A"),
+            Generator("h", "C", "D"),
+            Generator("k", "D", "C"),
+            Generator("m", "B", "C"),
+        ],
+    )
+    order = s.sources_first
+    assert sorted(order) == ["A", "B", "C", "D"]
+    assert order[0] in {"A", "B"}
+    loop = SchemaPresentation(["V", "E"], [Generator("next", "E", "E"), Generator("src", "E", "V")])
+    assert loop.sources_first == ["E", "V"]

@@ -1,12 +1,45 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 
 from csetrw.instance import empty_instance, make_instance
+from csetrw.mesh import gen_mesh, quad_pattern
+from csetrw.schema import Generator, SchemaPresentation
 from csetrw.search import SearchOptions, homomorphisms, is_isomorphic
 from csetrw.transform import Transformation, identity, is_natural
 
 from oracles import brute_homs, random_acyclic_schema, random_instance
+
+
+@contextmanager
+def within(seconds: float):
+    """Fail the block if it runs longer than `seconds`, even if it never ends."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"search took longer than {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def random_cyclic_schema(rng) -> SchemaPresentation:
+    """Graph schemas with a self-map on edges, or two objects mapping to each other."""
+    if rng.random() < 0.5:
+        return SchemaPresentation(
+            ["V", "E"],
+            [Generator("src", "E", "V"), Generator("tgt", "E", "V"), Generator("next", "E", "E")],
+        )
+    return SchemaPresentation(
+        ["A", "B", "C"],
+        [Generator("f", "A", "B"), Generator("g", "B", "A"), Generator("h", "C", "A")],
+    )
 
 
 def test_is_natural_identity(small_graph):
@@ -118,3 +151,57 @@ def test_iso_short_circuits_on_cardinality(graph):
     a = make_instance(graph, {"V": 1}, {})
     b = make_instance(graph, {"V": 2}, {})
     assert is_isomorphic(a, b) is None
+
+
+def test_completeness_randomized_cyclic_schemas():
+    rng = random.Random(29)
+    for _ in range(60):
+        schema = random_cyclic_schema(rng)
+        x = random_instance(rng, schema, max_parts=3)
+        y = random_instance(rng, schema, max_parts=3)
+        assert homomorphisms(x, y) == brute_homs(x, y)
+        assert homomorphisms(x, y, SearchOptions(monic=True)) == brute_homs(x, y, monic=True)
+
+
+def test_limit_returns_that_many_of_the_matches():
+    rng = random.Random(31)
+    for _ in range(30):
+        schema = random_acyclic_schema(rng) if rng.random() < 0.5 else random_cyclic_schema(rng)
+        x = random_instance(rng, schema, max_parts=2)
+        y = random_instance(rng, schema, max_parts=3)
+        for monic in (False, True):
+            full = homomorphisms(x, y, SearchOptions(monic=monic))
+            for n in range(1, len(full) + 2):
+                some = homomorphisms(x, y, SearchOptions(monic=monic, limit=n))
+                assert len(some) == min(n, len(full))
+                assert all(t in full for t in some)
+                assert some == sorted(some, key=full.index)
+
+
+def test_large_patterns_do_not_recurse(graph):
+    assert is_isomorphic(gen_mesh(24, 24), gen_mesh(24, 24)) is not None
+    n = 1200
+    path = make_instance(
+        graph, {"V": n + 1, "E": n}, {"src": list(range(1, n + 1)), "tgt": list(range(2, n + 2))}
+    )
+    assert is_isomorphic(path, path) == identity(path)
+
+
+def test_mesh_searched_against_itself_finishes():
+    mesh = gen_mesh(2, 2)
+    with within(2.0):
+        found = homomorphisms(mesh, mesh)
+    assert identity(mesh) in found
+    assert all(is_natural(t) == [] for t in found)
+    assert len({tuple(tuple(t.comp[o]) for o in mesh.schema.objects) for t in found}) == len(found)
+
+
+def test_search_pinned_at_a_vertex_finishes():
+    for n in (6, 16):
+        with within(2.0):
+            found = homomorphisms(
+                quad_pattern(), gen_mesh(n, n), SearchOptions(monic=True, initial={"V": {1: 1}})
+            )
+        # the corner cell, with its two triangles either way round
+        assert len(found) == 2
+        assert [t.comp["V"][0] for t in found] == [1, 1]
