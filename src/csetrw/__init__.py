@@ -7,12 +7,10 @@ transformations, with pattern matching by backtracking search.
 
 from .colimits import (
     Classifier,
-    Cospan,
     DanglingViolation,
     IdentificationViolation,
     PullbackResult,
     PushoutResult,
-    Span,
     check_pushout_complement,
     classifier_map,
     coproduct,
@@ -43,7 +41,6 @@ from .instance import (
     MultipleEdges,
     TypedGraph,
     check_discrete_opfibration,
-    delete_parts,
     elements,
     empty_instance,
     incident,

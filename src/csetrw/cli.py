@@ -2,7 +2,7 @@
 
 Subcommands: validate, homs, rewrite, compose, colimit, gen-mesh, bench.
 Exit codes: 0 success, 1 violations or refusals, 2 parse or reference
-errors.
+errors and other bad input.
 """
 
 from __future__ import annotations
@@ -13,10 +13,15 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .errors import (
+    CommutativityFailureError,
     ComplementViolationsError,
+    CyclicSchemaError,
     FootMismatchError,
     InvalidInstanceError,
+    MatchNotNaturalError,
+    NotMonicError,
     ParseError,
+    TypingMismatchError,
     UnknownReferenceError,
 )
 from .jsonio import (
@@ -251,9 +256,20 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(f"  {v}", file=sys.stderr)
         code = EXIT_VIOLATIONS
-    except (InvalidInstanceError, FootMismatchError) as exc:
+    except (
+        InvalidInstanceError,
+        FootMismatchError,
+        NotMonicError,
+        MatchNotNaturalError,
+        CyclicSchemaError,
+        TypingMismatchError,
+        CommutativityFailureError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VIOLATIONS
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_PARSE
     if argv is None:
         sys.exit(code)
     return code

@@ -15,30 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ComplementViolationsError, NotMonicError
-from .instance import CSetInstance, delete_parts, make_instance
+from .instance import CSetInstance, make_instance, _restrict_removing
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
-from .transform import Transformation, identity, is_natural
-
-
-@dataclass
-class Span:
-    left: Transformation
-    right: Transformation
-
-    def __post_init__(self):
-        if self.left.dom != self.right.dom:
-            raise ValueError("span legs must share their domain")
-
-
-@dataclass
-class Cospan:
-    left: Transformation
-    right: Transformation
-
-    def __post_init__(self):
-        if self.left.cod != self.right.cod:
-            raise ValueError("cospan legs must share their codomain")
+from .transform import Transformation, factor_through, identity, is_natural
 
 
 class _UnionFind:
@@ -70,10 +50,6 @@ class PushoutResult:
     leg_c: Transformation
     f: Transformation
     g: Transformation
-
-    @property
-    def cospan(self) -> Cospan:
-        return Cospan(self.leg_b, self.leg_c)
 
     def universal(self, u: Transformation, v: Transformation) -> Transformation:
         """Mediating map out of the apex for a commuting cocone (u, v)."""
@@ -227,10 +203,6 @@ class PullbackResult:
     f: Transformation
     g: Transformation
 
-    @property
-    def span(self) -> Span:
-        return Span(self.p1, self.p2)
-
     def universal(self, u: Transformation, v: Transformation) -> Transformation:
         """Mediating map into the apex for a commuting cone (u, v)."""
         if u.dom != v.dom:
@@ -351,35 +323,15 @@ def pushout_complement(
 ) -> tuple[Transformation, Transformation]:
     """Unique D with A -> D -> C completing the square as a pushout.
 
-    D is C minus the non-preserved image of B, compacted densely; the
-    returned maps are A -> D and the (monic) inclusion D -> C. Raises
+    D is C minus the non-preserved image of B, numbered by `restrict`;
+    the returned maps are A -> D and the (monic) inclusion D -> C. Raises
     ComplementViolationsError with the check's violations otherwise.
     """
     deleted, violations = _complement_pass(f, g)
     if violations:
         raise ComplementViolationsError(violations)
-    schema = f.dom.schema
-    c = g.cod
-    d, renumber = delete_parts(c, deleted)
-    a_to_d = Transformation(
-        f.dom,
-        d,
-        {
-            obj: [
-                renumber[obj][g.comp[obj][f.comp[obj][part - 1] - 1] - 1]
-                for part in f.dom.parts(obj)
-            ]
-            for obj in schema.objects
-        },
-    )
-    d_to_c: dict[str, list[int]] = {}
-    for obj in schema.objects:
-        col = [0] * d.card[obj]
-        for old, new in enumerate(renumber[obj], start=1):
-            if new is not None:
-                col[new - 1] = old
-        d_to_c[obj] = col
-    return a_to_d, Transformation(d, c, d_to_c)
+    _, d_to_c = _restrict_removing(g.cod, deleted)
+    return factor_through(f.compose(g), d_to_c), d_to_c
 
 
 class Classifier:
@@ -429,14 +381,7 @@ class Classifier:
             for gen in schema.generators
         }
         self.instance = make_instance(schema, card, columns)
-        self.eta = Transformation(
-            x,
-            self.instance,
-            {
-                c: [self._index[c][self._eta_key(c, part)] for part in x.parts(c)]
-                for c in schema.objects
-            },
-        )
+        self.eta = self.classify_partial(identity(x), identity(x))
 
     def __iter__(self):
         """Unpack as (instance, eta)."""
@@ -458,8 +403,7 @@ class Classifier:
         Objects are processed sinks-first so every forced element is
         already decided when a subset is proposed.
         """
-        order = self._topo_order()
-        rev = [d for d in reversed(order)]
+        rev = self.schema.sources_first[::-1]
         chosen: dict[str, tuple[int, ...]] = {}
         results: list[dict[str, tuple[int, ...]]] = []
 
@@ -489,22 +433,6 @@ class Classifier:
         results.sort(key=lambda sub: tuple(sub[d] for d in self.schema.objects))
         return results
 
-    def _topo_order(self) -> list[str]:
-        seen: dict[str, bool] = {}
-        order: list[str] = []
-
-        def visit(obj: str) -> None:
-            if obj in seen:
-                return
-            seen[obj] = True
-            for gen in self.schema.outgoing(obj):
-                visit(gen.cod)
-            order.append(obj)
-
-        for obj in self.schema.objects:
-            visit(obj)
-        return list(reversed(order))
-
     def _subfunctor_instance(self, c: str, sub: dict[str, tuple[int, ...]]):
         local = {d: {k: i + 1 for i, k in enumerate(sub[d])} for d in self.schema.objects}
         card = {d: len(sub[d]) for d in self.schema.objects}
@@ -522,16 +450,6 @@ class Classifier:
     @staticmethod
     def _key(sub: dict, hvals: dict) -> tuple:
         return tuple((d, tuple(sub[d]), tuple(hvals[d])) for d in sorted(sub))
-
-    def _eta_key(self, c: str, part: int) -> tuple:
-        sub = {d: tuple(range(len(self._classes[c][d]))) for d in self.schema.objects}
-        hvals = {
-            d: tuple(
-                self.x.apply_path(self._rep_path(c, d, k), part) for k in sub[d]
-            )
-            for d in self.schema.objects
-        }
-        return self._key(sub, hvals)
 
     def _push_along(self, c: str, gen_name: str, record: tuple[dict, dict]) -> int:
         """Image of a T-part under the column for a generator c -> c'."""
@@ -562,10 +480,11 @@ class Classifier:
         if sub.dom != f.dom:
             raise ValueError("partial map legs must share their domain")
         a = sub.cod
-        inverse = {
-            d: {sub.comp[d][i]: i + 1 for i in range(sub.dom.card[d])}
-            for d in self.schema.objects
-        }
+        # the partial map A -> X as columns over A; 0 where undefined
+        partial = {d: [0] * a.card[d] for d in self.schema.objects}
+        for d in self.schema.objects:
+            for p, v in zip(sub.comp[d], f.comp[d]):
+                partial[d][p - 1] = v
         comp: dict[str, list[int]] = {}
         for c in self.schema.objects:
             col = []
@@ -576,10 +495,10 @@ class Classifier:
                     picked = []
                     vals = []
                     for k in range(len(self._classes[c][d])):
-                        value = a.apply_path(self._rep_path(c, d, k), part)
-                        if value in inverse[d]:
+                        value = partial[d][a.apply_path(self._rep_path(c, d, k), part) - 1]
+                        if value:
                             picked.append(k)
-                            vals.append(f.comp[d][inverse[d][value] - 1])
+                            vals.append(value)
                     sel[d] = tuple(picked)
                     hvals[d] = tuple(vals)
                 col.append(self._index[c][self._key(sel, hvals)])

@@ -1,13 +1,17 @@
 """Finite C-set instances stored as dense columns, plus the typed-graph view.
 
 Parts of each object are the integers 1..card; every generator is one
-total column of codomain part ids. Preimage indices are built eagerly so
-incidence queries cost O(answer).
+total column of codomain part ids. The preimage index is built on first
+use and cached on the instance, so incidence queries cost O(answer) and
+instances nobody searches or walks backwards never pay for it.
+`restrict` is the one subinstance constructor; it numbers the kept parts
+swap-last, as deletion in place would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidInstanceError, PartOutOfRangeError
 from .schema import SchemaPath, SchemaPresentation, graph_schema
@@ -61,7 +65,11 @@ class CSetInstance:
     schema: SchemaPresentation
     card: dict[str, int]
     column: dict[str, list[int]]
-    index: dict[str, list[list[int]]] | None = field(default=None, repr=False)
+
+    @cached_property
+    def index(self) -> dict[str, list[list[int]]]:
+        """Per generator, the ascending preimage list of each codomain part."""
+        return build_index(self)
 
     def parts(self, obj: str) -> range:
         return range(1, self.card[obj] + 1)
@@ -137,7 +145,7 @@ def build_index(x: CSetInstance) -> dict[str, list[list[int]]]:
 
 
 def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dict[str, list[int]]) -> CSetInstance:
-    """Validated instance with preimage indices; raises InvalidInstanceError."""
+    """Validated instance; raises InvalidInstanceError."""
     full_card, full_cols = _normalize(schema, card, columns)
     unknown = set(card) - set(schema.objects)
     unknown |= set(columns) - {g.name for g in schema.generators}
@@ -147,7 +155,6 @@ def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dic
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)
-    inst.index = build_index(inst)
     return inst
 
 
@@ -160,82 +167,57 @@ def incident(x: CSetInstance, gen: str, part: int) -> list[int]:
     g = x.schema.generator(gen)
     if not 1 <= part <= x.card[g.cod]:
         raise PartOutOfRangeError(f"part {part} outside 1..{x.card[g.cod]} for {g.cod!r}")
-    if x.index is not None:
-        return list(x.index[gen][part - 1])
-    return [p for p in x.parts(g.dom) if x.column[gen][p - 1] == part]
-
-
-def delete_parts(
-    x: CSetInstance, removed: dict[str, set[int]]
-) -> tuple[CSetInstance, dict[str, list[int | None]]]:
-    """Remove parts by swapping the last part into each freed slot.
-
-    Returns the compacted instance and, per object, the old->new part map
-    (None marks a removed part). Kept parts must not reference removed
-    parts through any column; that is the caller's precondition.
-    """
-    renumber: dict[str, list[int | None]] = {}
-    for obj in x.schema.objects:
-        n = x.card[obj]
-        slots = list(range(1, n + 1))
-        pos = {p: i for i, p in enumerate(slots)}
-        for part in sorted(removed.get(obj, ()), reverse=True):
-            i = pos[part]
-            last = slots[-1]
-            slots[i] = last
-            pos[last] = i
-            slots.pop()
-            del pos[part]
-        mapping: list[int | None] = [None] * n
-        for i, old in enumerate(slots):
-            mapping[old - 1] = i + 1
-        renumber[obj] = mapping
-    card = {obj: x.card[obj] - len(removed.get(obj, ())) for obj in x.schema.objects}
-    columns: dict[str, list[int]] = {}
-    for gen in x.schema.generators:
-        dommap = renumber[gen.dom]
-        codmap = renumber[gen.cod]
-        col: list[int] = [0] * card[gen.dom]
-        for old, value in enumerate(x.column[gen.name], start=1):
-            new = dommap[old - 1]
-            if new is None:
-                continue
-            target = codmap[value - 1]
-            if target is None:
-                raise ValueError(
-                    f"kept part {old} of {gen.dom!r} references removed part {value} via {gen.name!r}"
-                )
-            col[new - 1] = target
-        columns[gen.name] = col
-    return make_instance(x.schema, card, columns), renumber
+    return list(x.index[gen][part - 1])
 
 
 def restrict(x: CSetInstance, kept: dict[str, set[int]]):
     """Column-closed subinstance on `kept` parts plus its inclusion map.
 
-    Raises ValueError if `kept` is not closed under the columns.
+    Parts are numbered as deleting the others in place would number
+    them: highest first, each freed slot takes the current last part.
+    Raises ValueError if `kept` is not closed under the columns and
+    PartOutOfRangeError if it names a part that does not exist.
+    """
+    removed = {}
+    for obj in x.schema.objects:
+        n, keep = x.card[obj], kept.get(obj, set())
+        removed[obj] = set(range(1, n + 1)) - keep
+        if len(keep) != n - len(removed[obj]):
+            raise PartOutOfRangeError(f"kept parts of {obj!r} fall outside 1..{n}")
+    return _restrict_removing(x, removed)
+
+
+def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]]):
+    """`restrict` given the parts to drop, each in 1..card.
+
+    For callers that already hold the deleted parts, so no set the size
+    of `x` is built to find them again.
     """
     from .transform import Transformation
 
-    renumber: dict[str, dict[int, int]] = {}
+    slots: dict[str, list[int]] = {}
+    renumber: dict[str, list[int]] = {}
     for obj in x.schema.objects:
-        renumber[obj] = {p: i + 1 for i, p in enumerate(sorted(kept.get(obj, ())))}
-    card = {obj: len(renumber[obj]) for obj in x.schema.objects}
+        n, gone = x.card[obj], removed.get(obj, set())
+        order = list(range(1, n + 1))
+        new = list(order)
+        # a removed part has not moved yet: only kept parts above it have
+        for part in sorted(gone, reverse=True):
+            last = order.pop()
+            new[part - 1] = 0
+            if last != part:
+                order[part - 1] = last
+                new[last - 1] = part
+        slots[obj], renumber[obj] = order, new
     columns: dict[str, list[int]] = {}
     for gen in x.schema.generators:
-        col = [0] * card[gen.dom]
-        for old, new in renumber[gen.dom].items():
-            value = x.column[gen.name][old - 1]
-            if value not in renumber[gen.cod]:
-                raise ValueError(f"kept parts are not closed under column {gen.name!r}")
-            col[new - 1] = renumber[gen.cod][value]
-        columns[gen.name] = col
-    sub = make_instance(x.schema, card, columns)
-    comp = {
-        obj: [p for p, _ in sorted(renumber[obj].items(), key=lambda kv: kv[1])]
-        for obj in x.schema.objects
-    }
-    return sub, Transformation(sub, x, comp)
+        col, cod_new = x.column[gen.name], renumber[gen.cod]
+        sub_col = [cod_new[col[old - 1] - 1] for old in slots[gen.dom]]
+        if 0 in sub_col:
+            raise ValueError(f"kept parts are not closed under column {gen.name!r}")
+        columns[gen.name] = sub_col
+    sub = make_instance(x.schema, {obj: len(s) for obj, s in slots.items()}, columns)
+    return sub, Transformation(sub, x, slots)
 
 
 def schema_graph(schema: SchemaPresentation) -> CSetInstance:

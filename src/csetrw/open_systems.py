@@ -20,7 +20,7 @@ from .errors import (
 from .instance import CSetInstance, make_instance
 from .rewrite import RewriteOutcome, Rule, rewrite_dpo
 from .schema import Generator, SchemaPath, SchemaPresentation
-from .transform import Transformation, identity, is_natural
+from .transform import Transformation, factor_through, identity, is_natural
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +323,12 @@ def open_rewrite(rule: OpenRule, match: CospanMorphism) -> OpenRewriteOutcome:
     g_cospan = match.cod
 
     def induced_leg(foot_level: str, g_leg: Transformation) -> Transformation:
-        _, k_to_g_foot = comp[foot_level]
-        _, k_to_g_apex = comp["apex"]
-        back = {
-            obj: {old: new + 1 for new, old in enumerate(k_to_g_apex.comp[obj])}
-            for obj in g_leg.dom.schema.objects
-        }
-        comp_map: dict[str, list[int]] = {}
-        for obj in g_leg.dom.schema.objects:
-            col = []
-            for part in k_to_g_foot.dom.parts(obj):
-                target = g_leg.comp[obj][k_to_g_foot.comp[obj][part - 1] - 1]
-                if target not in back[obj]:
-                    raise CommutativityFailureError(
-                        f"foot part {part} of {obj!r} survives but its apex image is deleted"
-                    )
-                col.append(back[obj][target])
-            comp_map[obj] = col
-        leg = Transformation(k_to_g_foot.dom, k_to_g_apex.dom, comp_map)
+        try:
+            leg = factor_through(comp[foot_level][1].compose(g_leg), comp["apex"][1])
+        except ValueError as exc:
+            raise CommutativityFailureError(
+                f"a surviving {foot_level} foot part has a deleted apex image: {exc}"
+            ) from exc
         if is_natural(leg):
             raise CommutativityFailureError("induced intermediate leg is not natural")
         return leg

@@ -7,13 +7,13 @@ SqPO additionally copies context when l identifies parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .colimits import final_pullback_complement, pushout, pushout_complement
 from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
-from .instance import CSetInstance, restrict
+from .instance import CSetInstance, _restrict_removing
 from .search import SearchOptions, homomorphisms
-from .transform import Transformation, is_natural
+from .transform import Transformation, factor_through, is_natural
 
 DPO = "dpo"
 SPO = "spo"
@@ -63,12 +63,10 @@ def _check_match(rule: Rule, match: Transformation) -> None:
         raise ValueError("rule legs must be natural transformations")
 
 
-def rewrite_dpo(rule: Rule, match: Transformation) -> RewriteOutcome:
-    """Double pushout step; refuses with the Eq-level violations otherwise."""
-    _check_match(rule, match)
-    if not rule.l.is_monic():
-        raise NotMonicError("DPO requires a monic left rule leg")
-    i_to_k, k_to_g = pushout_complement(rule.l, match)
+def _push_out_rhs(
+    rule: Rule, match: Transformation, i_to_k: Transformation, k_to_g: Transformation
+) -> RewriteOutcome:
+    """The second square of DPO and SqPO: push R out along I -> K."""
     po = pushout(rule.r, i_to_k)
     return RewriteOutcome(
         result=po.apex,
@@ -81,6 +79,14 @@ def rewrite_dpo(rule: Rule, match: Transformation) -> RewriteOutcome:
             "k_to_result": po.leg_c,
         },
     )
+
+
+def rewrite_dpo(rule: Rule, match: Transformation) -> RewriteOutcome:
+    """Double pushout step; refuses with the Eq-level violations otherwise."""
+    _check_match(rule, match)
+    if not rule.l.is_monic():
+        raise NotMonicError("DPO requires a monic left rule leg")
+    return _push_out_rhs(rule, match, *pushout_complement(rule.l, match))
 
 
 def deletion_closure(g: CSetInstance, core: dict[str, set[int]]) -> dict[str, set[int]]:
@@ -97,8 +103,8 @@ def deletion_closure(g: CSetInstance, core: dict[str, set[int]]) -> dict[str, se
         for gen in g.schema.generators:
             if gen.cod != obj:
                 continue
-            for pre in g.index[gen.name][part - 1] if g.index else g.parts(gen.dom):
-                if g.apply(gen.name, pre) == part and pre not in deleted[gen.dom]:
+            for pre in g.index[gen.name][part - 1]:
+                if pre not in deleted[gen.dom]:
                     deleted[gen.dom].add(pre)
                     work.append((gen.dom, pre))
     return deleted
@@ -159,41 +165,14 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
             break
         dead_i = new_dead
 
-    kept_g = {obj: set(g.parts(obj)) - dead_g[obj] for obj in schema.objects}
-    k, k_to_g = restrict(g, kept_g)
-    back = {
-        obj: {old: new + 1 for new, old in enumerate(k_to_g.comp[obj])}
-        for obj in schema.objects
-    }
+    k, k_to_g = _restrict_removing(g, dead_g)
     dead_r = deletion_closure(
         rule.rhs, {obj: {rule.r.comp[obj][i - 1] for i in dead_i[obj]} for obj in schema.objects}
     )
-    kept_r = {obj: set(rule.rhs.parts(obj)) - dead_r[obj] for obj in schema.objects}
-    r_bar, r_kept = restrict(rule.rhs, kept_r)
-    back_r = {
-        obj: {old: new + 1 for new, old in enumerate(r_kept.comp[obj])}
-        for obj in schema.objects
-    }
-    surviving = {
-        obj: set(interface.parts(obj)) - dead_i[obj] for obj in schema.objects
-    }
-    j, j_to_i = restrict(interface, surviving)
-    j_to_r = Transformation(
-        j,
-        r_bar,
-        {
-            obj: [back_r[obj][rule.r.comp[obj][i - 1]] for i in j_to_i.comp[obj]]
-            for obj in schema.objects
-        },
-    )
-    j_to_k = Transformation(
-        j,
-        k,
-        {
-            obj: [back[obj][host_image(obj, i)] for i in j_to_i.comp[obj]]
-            for obj in schema.objects
-        },
-    )
+    _, r_kept = _restrict_removing(rule.rhs, dead_r)
+    _, j_to_i = _restrict_removing(interface, dead_i)
+    j_to_r = factor_through(j_to_i.compose(rule.r), r_kept)
+    j_to_k = factor_through(j_to_i.compose(rule.l).compose(match), k_to_g)
     po = pushout(j_to_r, j_to_k)
     return RewriteOutcome(
         result=po.apex,
@@ -220,19 +199,7 @@ def rewrite_sqpo(rule: Rule, match: Transformation) -> RewriteOutcome:
     _check_match(rule, match)
     if not match.is_monic():
         raise NotMonicError("SqPO requires a monic match")
-    i_to_k, k_to_g = final_pullback_complement(rule.l, match)
-    po = pushout(rule.r, i_to_k)
-    return RewriteOutcome(
-        result=po.apex,
-        k=i_to_k.cod,
-        maps={
-            "match": match,
-            "i_to_k": i_to_k,
-            "k_to_g": k_to_g,
-            "r_to_result": po.leg_b,
-            "k_to_result": po.leg_c,
-        },
-    )
+    return _push_out_rhs(rule, match, *final_pullback_complement(rule.l, match))
 
 
 _ENGINES = {DPO: rewrite_dpo, SPO: rewrite_spo, SQPO: rewrite_sqpo}
@@ -254,7 +221,7 @@ def find_and_rewrite(
     """
     opts = opts or SearchOptions()
     if rule.kind == SQPO:
-        opts = SearchOptions(monic=True, initial=opts.initial, limit=opts.limit, mrv=opts.mrv)
+        opts = replace(opts, monic=True)
     outcomes = []
     for match in homomorphisms(rule.lhs, g, opts):
         try:

@@ -15,9 +15,7 @@ preimage index are branched on, and each of the latter draws its
 candidates from the host's preimage index of its already assigned
 target. Candidates come in ascending order and results are sorted, so
 the result list does not depend on the branching order; `limit` keeps
-the first matches found in that order, then sorts them. `mrv` is
-accepted and has no effect: past a component's root there is nothing
-left for a most-constrained-variable count to improve. Branching and
+the first matches found in that order, then sorts them. Branching and
 propagation run on explicit stacks, so pattern size is not bounded by
 the interpreter's recursion limit.
 """
@@ -27,7 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .instance import CSetInstance, build_index
+from .errors import PartOutOfRangeError
+from .instance import CSetInstance
 from .transform import Transformation
 
 
@@ -36,13 +35,11 @@ class SearchOptions:
     monic: bool = False
     initial: dict[str, dict[int, int]] | None = None
     limit: int | None = None
-    mrv: bool = False  # accepted, has no effect (see the module docstring)
 
 
 def _branch_order(x: CSetInstance) -> list[tuple[str, int]]:
     """The pattern parts the search branches on, in branching order."""
-    schema, column = x.schema, x.column
-    index = x.index if x.index is not None else build_index(x)
+    schema, column, index = x.schema, x.column, x.index
     seen = {obj: [False] * n for obj, n in x.card.items()}
     order: list[tuple[str, int]] = []
     for root_obj in schema.sources_first:
@@ -76,11 +73,10 @@ class _Search:
         self.assign = {obj: [0] * x.card[obj] for obj in x.schema.objects}
         self.used = {obj: [False] * y.card[obj] for obj in x.schema.objects} if opts.monic else None
         self.trail: list[tuple[str, int]] = []
-        y_index = y.index if y.index is not None else build_index(y)
         # per object: (codomain, pattern column, host column, host preimage index)
         self.out = {
             obj: [
-                (g.cod, x.column[g.name], y.column[g.name], y_index[g.name])
+                (g.cod, x.column[g.name], y.column[g.name], y.index[g.name])
                 for g in x.schema.outgoing(obj)
             ]
             for obj in x.schema.objects
@@ -141,12 +137,22 @@ class _Search:
         return narrowed
 
     def run(self) -> list[Transformation]:
+        limit = self.opts.limit
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be at least 0, got {limit}")
         if self.opts.initial:
+            for obj, pins in self.opts.initial.items():
+                for part in pins:
+                    if not 1 <= part <= self.x.card[obj]:
+                        raise PartOutOfRangeError(
+                            f"pinned pattern part {part} outside 1..{self.x.card[obj]} for {obj!r}"
+                        )
             for obj, pins in self.opts.initial.items():
                 for part, value in pins.items():
                     if not (1 <= value <= self.y.card[obj] and self._set(obj, part, value)):
                         return []
-        self._branch(_branch_order(self.x))
+        if limit != 0:
+            self._branch(_branch_order(self.x))
         self.results.sort(key=lambda t: tuple(tuple(t.comp[o]) for o in self.x.schema.objects))
         return self.results
 
@@ -191,7 +197,9 @@ def homomorphisms(
     declaration then part id, compared lexicographically. With
     opts.monic only injective-per-object maps are returned; opts.limit
     stops the search after that many matches in branching order (see
-    the module docstring), which are returned in the same fixed order.
+    the module docstring), which are returned in the same fixed order;
+    it must be at least 0. A pin on a pattern part outside 1..card raises
+    PartOutOfRangeError; a pin to a missing host part finds nothing.
     """
     if x.schema != y.schema:
         raise ValueError("homomorphism search requires a shared schema")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import NotMonicError
 from .instance import CSetInstance
 
 
@@ -48,6 +49,29 @@ class Transformation:
 
 def identity(x: CSetInstance) -> Transformation:
     return Transformation(x, x, {obj: list(x.parts(obj)) for obj in x.schema.objects})
+
+
+def factor_through(f: Transformation, m: Transformation) -> Transformation:
+    """The h with h;m = f, for monic m.
+
+    Raises NotMonicError if m is not monic and ValueError if the image
+    of f leaves the image of m. h is natural whenever f and m are.
+    """
+    if f.cod != m.cod:
+        raise ValueError("factoring requires a shared codomain")
+    comp: dict[str, list[int]] = {}
+    for obj in m.dom.schema.objects:
+        back = [0] * m.cod.card[obj]
+        for new, old in enumerate(m.comp[obj], start=1):
+            back[old - 1] = new
+        if len(back) - back.count(0) != len(m.comp[obj]):
+            raise NotMonicError(f"component for {obj!r} of the factored-through map is not injective")
+        col = [back[v - 1] for v in f.comp[obj]]
+        if 0 in col:
+            part = col.index(0) + 1
+            raise ValueError(f"part {part} of {obj!r} maps outside the image it is factored through")
+        comp[obj] = col
+    return Transformation(f.dom, m.dom, comp)
 
 
 @dataclass(frozen=True)

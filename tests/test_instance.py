@@ -10,7 +10,6 @@ from csetrw.instance import (
     EquationFailure,
     MissingEdge,
     check_discrete_opfibration,
-    delete_parts,
     elements,
     empty_instance,
     incident,
@@ -67,10 +66,11 @@ def test_incident_on_empty(graph):
 
 
 def test_incident_matches_scan(small_graph):
-    unindexed = CSetInstance(small_graph.schema, small_graph.card, small_graph.column)
     for gen in ("src", "tgt"):
+        column = small_graph.column[gen]
         for v in small_graph.parts("V"):
-            assert incident(small_graph, gen, v) == incident(unindexed, gen, v)
+            scan = [e for e in small_graph.parts("E") if column[e - 1] == v]
+            assert incident(small_graph, gen, v) == scan
 
 
 def test_elements_counts(small_graph, two_triangles):
@@ -133,19 +133,19 @@ def test_validate_instance_invariant_under_renumbering(small_graph):
         assert validate_instance(x) == []
 
 
-def test_delete_parts_swaps_last_into_slot(small_graph):
-    # remove vertex 1 and edge 1: vertex 3 moves into slot 1
-    out, renumber = delete_parts(small_graph, {"V": {1}, "E": {1}})
+def test_restrict_swaps_last_into_slot(small_graph):
+    # drop vertex 1 and edge 1: vertex 3 moves into slot 1
+    out, incl = restrict(small_graph, {"V": {2, 3}, "E": {2, 3}})
     assert out.card == {"V": 2, "E": 2}
-    assert renumber["V"] == [None, 2, 1]
-    assert renumber["E"] == [None, 2, 1]
+    assert incl.comp["V"] == [3, 2]
+    assert incl.comp["E"] == [3, 2]
     assert out.column["src"] == [2, 2]
     assert out.column["tgt"] == [1, 1]
 
 
-def test_delete_parts_rejects_dangling(small_graph):
+def test_restrict_rejects_dangling(small_graph):
     with pytest.raises(ValueError):
-        delete_parts(small_graph, {"V": {3}})
+        restrict(small_graph, {"V": {1, 2}, "E": {1, 2, 3}})
 
 
 def test_restrict_requires_closure(small_graph):

@@ -5,12 +5,22 @@ from pathlib import Path
 
 import pytest
 
-from csetrw import jsonio
+from csetrw import cli, jsonio
 from csetrw.cli import main
-from csetrw.errors import ParseError, UnknownReferenceError
+from csetrw.errors import (
+    CommutativityFailureError,
+    CyclicSchemaError,
+    MatchNotNaturalError,
+    NotMonicError,
+    ParseError,
+    TypingMismatchError,
+    UnknownReferenceError,
+)
 from csetrw.instance import make_instance
 from csetrw.mesh import gen_mesh
-from csetrw.schema import graph_schema
+from csetrw.rewrite import DPO, SQPO, Rule
+from csetrw.schema import Generator, SchemaPresentation, graph_schema
+from csetrw.transform import Transformation, identity
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -235,6 +245,65 @@ def test_cli_rewrite_dangling_exit_code(tmp_path, capsys):
     )
     assert code == 1
     assert "refused" in capsys.readouterr().err
+
+
+def _write_rewrite_case(tmp_path, case: str) -> list[str]:
+    """Arguments of a `rewrite --match` call the library refuses with `case`."""
+    if case == "MatchNotNaturalError":
+        # flip_match.json with the first two vertices swapped
+        match = {"comp": {"V": [2, 1, 4, 5], "E": [1, 6, 5, 3, 8], "T": [1, 2]}}
+        paths = [fixture("flip_rule.json"), fixture("mesh_1x2.json"), "--schema", fixture("d2.json")]
+    else:
+        if case == "NotMonicError":  # DPO with a left leg that merges two vertices
+            g = graph_schema()
+            one, two = make_instance(g, {"V": 1}, {}), make_instance(g, {"V": 2}, {})
+            rule = Rule(Transformation(two, one, {"V": [1, 1]}), identity(two), kind=DPO)
+            host, match = make_instance(g, {"V": 1}, {}), {"comp": {"V": [1], "E": []}}
+        else:  # SqPO needs an acyclic schema for its classifier
+            loop = SchemaPresentation(["V"], [Generator("f", "V", "V")])
+            host = make_instance(loop, {"V": 1}, {"f": [1]})
+            rule = Rule(identity(host), identity(host), kind=SQPO)
+            match = {"comp": {"V": [1]}}
+        (tmp_path / "rule.json").write_text(jsonio.dumps(jsonio.rule_to_obj(rule)))
+        (tmp_path / "host.json").write_text(jsonio.dumps(jsonio.instance_to_obj(host)))
+        paths = [str(tmp_path / "rule.json"), str(tmp_path / "host.json")]
+    (tmp_path / "match.json").write_text(jsonio.dumps(match))
+    return ["rewrite", *paths, "--match", str(tmp_path / "match.json")]
+
+
+@pytest.mark.parametrize("case", ["MatchNotNaturalError", "NotMonicError", "CyclicSchemaError"])
+def test_cli_rewrite_refusal_exit_code(case, tmp_path, capsys):
+    assert main(_write_rewrite_case(tmp_path, case)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (NotMonicError, 1),
+        (MatchNotNaturalError, 1),
+        (CyclicSchemaError, 1),
+        (TypingMismatchError, 1),
+        (CommutativityFailureError, 1),
+        (ValueError, 2),
+    ],
+)
+def test_cli_library_error_exit_codes(error, code, monkeypatch, capsys):
+    def refuse(*args):
+        raise error("refused here")
+
+    monkeypatch.setattr(cli, "compose_cospans", refuse)
+    argv = ["compose", fixture("open_edge_a.json"), fixture("open_edge_b.json"), "--schema", fixture("graph.json")]
+    assert main(argv) == code
+    assert capsys.readouterr().err == "error: refused here\n"
+
+
+def test_cli_bad_value_exit_code(capsys):
+    argv = ["homs", fixture("small_graph.json"), fixture("small_graph.json"), "--schema", fixture("graph.json")]
+    assert main([*argv, "--limit", "-1"]) == 2
+    assert main([*argv, "--limit", "0", "--count"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_cli_rewrite_kind_mismatch(capsys):

@@ -4,6 +4,9 @@ import random
 import signal
 from contextlib import contextmanager
 
+import pytest
+
+from csetrw.errors import PartOutOfRangeError
 from csetrw.instance import empty_instance, make_instance
 from csetrw.mesh import gen_mesh, quad_pattern
 from csetrw.schema import Generator, SchemaPresentation
@@ -95,6 +98,13 @@ def test_limit_truncates(small_graph):
     assert len(homomorphisms(x, small_graph, SearchOptions(limit=1))) == 1
 
 
+def test_limit_zero_finds_nothing(small_graph):
+    x = make_instance(small_graph.schema, {"V": 1}, {})
+    assert homomorphisms(x, small_graph, SearchOptions(limit=0)) == []
+    with pytest.raises(ValueError):
+        homomorphisms(x, small_graph, SearchOptions(limit=-1))
+
+
 def test_initial_assignment_pins_search(small_graph):
     x = make_instance(small_graph.schema, {"V": 1}, {})
     found = homomorphisms(x, small_graph, SearchOptions(initial={"V": {1: 2}}))
@@ -104,18 +114,19 @@ def test_initial_assignment_pins_search(small_graph):
     assert all(t.comp["E"][0] == 2 and t.comp["V"][0] == 1 for t in impossible)
 
 
+def test_initial_pins_check_pattern_parts(small_graph):
+    x = make_instance(small_graph.schema, {"V": 2}, {})
+    for part in (0, 5):
+        with pytest.raises(PartOutOfRangeError, match=f"part {part} outside 1..2 for 'V'"):
+            homomorphisms(x, small_graph, SearchOptions(initial={"V": {part: 3}}))
+
+
 def test_determinism_and_order(small_graph):
     a = homomorphisms(small_graph, small_graph)
     b = homomorphisms(small_graph, small_graph)
     assert a == b
     keys = [tuple(tuple(t.comp[o]) for o in small_graph.schema.objects) for t in a]
     assert keys == sorted(keys)
-
-
-def test_mrv_agrees_with_static(small_graph):
-    static = homomorphisms(small_graph, small_graph)
-    mrv = homomorphisms(small_graph, small_graph, SearchOptions(mrv=True))
-    assert static == mrv
 
 
 def test_completeness_randomized():

@@ -1,0 +1,531 @@
+"""Run one seeded corpus on two versions of csetrw and compare the outputs.
+
+    python tools/differential.py --against REV [--iso]
+
+REV (a commit, branch or tag) is exported with `git archive` into a
+temporary directory; no network is used. Each side runs in its own
+interpreter with its own `src/` first on the import path, and both draw
+their inputs from this checkout's `tests/oracles.py` with the same seeds:
+homomorphisms (plain, monic, pinned, limited), `is_isomorphic`, pushouts,
+pullbacks, `restrict`, pushout complements and their refusals, `rewrite`
+and `find_and_rewrite` under DPO, SPO and SqPO, the partial map
+classifier, `diagram_colimit` with `coproduct`, and `open_rewrite`.
+
+Every case gives one canonical JSON record: the input instances, the
+instances the library built, the maps between them and any other data
+(match lists, refusals). By default the records of the two sides must be
+byte-identical. With --iso a record that differs still passes when the
+inputs and data agree and the built instances of one side are isomorphic
+to the other's by isomorphisms that carry every recorded map onto its
+counterpart. The report gives counts per family and the first differing
+case of each, and the exit status is 1 if any case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CASES = 100  # seeded cases per family
+
+
+# ---------------------------------------------------------------------------
+# The corpus (runs inside each side's interpreter)
+
+
+class Record:
+    """Instances and maps of one case, named by the order they turn up in."""
+
+    def __init__(self, schema):
+        self.schema = {
+            "objects": list(schema.objects),
+            "generators": [[g.name, g.dom, g.cod] for g in schema.generators],
+        }
+        self.fixed: dict = {}
+        self.built: dict = {}
+        self.maps: dict = {}
+        self.data: dict = {}
+        self._names: dict[int, tuple[str, object]] = {}  # holds x so id(x) stays unique
+
+    def fix(self, name, x):
+        self._names[id(x)] = name, x
+        self.fixed[name] = _inst(x)
+
+    def _name(self, x, fallback: str) -> str:
+        if id(x) not in self._names:
+            self._names[id(x)] = fallback, x
+            self.built[fallback] = _inst(x)
+        return self._names[id(x)][0]
+
+    def map(self, name, t):
+        dom = self._name(t.dom, f"{name}.dom")
+        cod = self._name(t.cod, f"{name}.cod")
+        self.maps[name] = [dom, cod, t.comp]
+
+    def error(self, exc):
+        self.data["error"] = type(exc).__name__
+        if hasattr(exc, "violations"):
+            self.data["violations"] = [str(v) for v in exc.violations]
+
+    def outcome(self, prefix, out):
+        self._name(out.k, f"{prefix}k")
+        self._name(out.result, f"{prefix}result")
+        for name, t in out.maps.items():
+            self.map(prefix + name, t)
+
+    def obj(self):
+        return {
+            "schema": self.schema,
+            "fixed": self.fixed,
+            "built": self.built,
+            "maps": self.maps,
+            "data": self.data,
+        }
+
+
+def _inst(x):
+    return {"card": dict(x.card), "columns": {g: list(c) for g, c in x.column.items()}}
+
+
+def _comp(t):
+    return {obj: list(col) for obj, col in t.comp.items()}
+
+
+def _small(rng, schema, limit, **kw):
+    from oracles import random_instance
+
+    while True:
+        x = random_instance(rng, schema, **kw)
+        if sum(x.card.values()) <= limit:
+            return x
+
+
+def _sub(rng, x, keep):
+    """A closed subinstance of x (ascending numbering) and its inclusion."""
+    from oracles import random_closed_parts, subinstance
+
+    from csetrw import Transformation
+
+    parts = random_closed_parts(rng, x, keep_probability=keep)
+    sub = subinstance(x, parts)
+    return sub, Transformation(sub, x, {o: sorted(parts[o]) for o in x.schema.objects})
+
+
+def _some_hom(rng, x, y):
+    from csetrw import homomorphisms
+
+    found = homomorphisms(x, y)
+    return rng.choice(found) if found else None
+
+
+def case_homs(rng):
+    from oracles import random_acyclic_schema
+
+    from csetrw import SearchOptions, homomorphisms, is_isomorphic
+
+    schema = random_acyclic_schema(rng)
+    x = _small(rng, schema, 5, max_parts=2)
+    y = _small(rng, schema, 8, max_parts=3, min_parts=1)
+    rec = Record(schema)
+    rec.fix("x", x)
+    rec.fix("y", y)
+    for monic in (False, True):
+        opts = SearchOptions(monic=monic)
+        rec.data[f"monic={monic}"] = [_comp(t) for t in homomorphisms(x, y, opts)]
+        rec.data[f"monic={monic},limit=2"] = [
+            _comp(t) for t in homomorphisms(x, y, SearchOptions(monic=monic, limit=2))
+        ]
+    objs = [o for o in schema.objects if x.card[o]]
+    if objs:
+        obj = rng.choice(objs)
+        pin = {obj: {rng.randint(1, x.card[obj]): rng.randint(1, y.card[obj])}}
+        rec.data["pin"] = {obj: list(pin[obj].items())}
+        rec.data["pinned"] = [_comp(t) for t in homomorphisms(x, y, SearchOptions(initial=pin))]
+    iso = is_isomorphic(x, x)
+    rec.data["self_iso"] = _comp(iso) if iso else None
+    return rec
+
+
+def case_limits(rng):
+    from oracles import random_acyclic_schema
+
+    from csetrw import pullback, pushout
+
+    schema = random_acyclic_schema(rng)
+    a = _small(rng, schema, 4, max_parts=2)
+    b = _small(rng, schema, 5, max_parts=2, min_parts=1)
+    c = _small(rng, schema, 5, max_parts=2, min_parts=1)
+    d = _small(rng, schema, 4, max_parts=2, min_parts=1)
+    rec = Record(schema)
+    for name, x in (("a", a), ("b", b), ("c", c), ("d", d)):
+        rec.fix(name, x)
+    f, g = _some_hom(rng, a, b), _some_hom(rng, a, c)
+    if f and g:
+        rec.map("f", f)
+        rec.map("g", g)
+        po = pushout(f, g)
+        rec.map("po.leg_b", po.leg_b)
+        rec.map("po.leg_c", po.leg_c)
+    u, v = _some_hom(rng, b, d), _some_hom(rng, c, d)
+    if u and v:
+        rec.map("u", u)
+        rec.map("v", v)
+        pb = pullback(u, v)
+        rec.map("pb.p1", pb.p1)
+        rec.map("pb.p2", pb.p2)
+    return rec
+
+
+def case_complement(rng):
+    from oracles import random_acyclic_schema, random_instance
+
+    from csetrw import check_pushout_complement, pushout_complement
+
+    schema = random_acyclic_schema(rng)
+    c = random_instance(rng, schema, max_parts=3)
+    b, g = _sub(rng, c, 0.6)
+    a, f = _sub(rng, b, 0.5)
+    rec = Record(schema)
+    for name, x in (("a", a), ("b", b), ("c", c)):
+        rec.fix(name, x)
+    rec.map("f", f)
+    rec.map("g", g)
+    rec.data["check"] = [str(v) for v in check_pushout_complement(f, g)]
+    try:
+        a_to_d, d_to_c = pushout_complement(f, g)
+        rec.map("a_to_d", a_to_d)
+        rec.map("d_to_c", d_to_c)
+    except Exception as exc:  # refusals are part of the output
+        rec.error(exc)
+    return rec
+
+
+def case_restrict(rng):
+    from oracles import random_acyclic_schema, random_closed_parts, random_instance
+
+    from csetrw import restrict
+
+    x = random_instance(rng, random_acyclic_schema(rng), max_parts=4)
+    rec = Record(x.schema)
+    rec.fix("x", x)
+    _, incl = restrict(x, random_closed_parts(rng, x, keep_probability=0.6))
+    rec.map("restrict", incl)
+    return rec
+
+
+def _random_rule(rng, kind):
+    from oracles import random_acyclic_schema, random_instance
+
+    from csetrw import Rule, identity
+
+    schema = random_acyclic_schema(rng)
+    g = random_instance(rng, schema, max_parts=3)
+    lhs, match = _sub(rng, g, 0.4)
+    if kind == "sqpo" and rng.random() < 0.6:
+        interface = _small(rng, schema, 4, max_parts=2)
+        l = _some_hom(rng, interface, lhs)
+        if l is None:
+            interface, l = _sub(rng, lhs, 0.6)
+    else:
+        interface, l = _sub(rng, lhs, 0.6)
+    r_target = random_instance(rng, schema, max_parts=2)
+    r = _some_hom(rng, interface, r_target) if rng.random() < 0.5 else None
+    return Rule(l, r or identity(interface), kind=kind), match, g
+
+
+def case_rewrite(rng, kind):
+    from csetrw import find_and_rewrite, rewrite
+
+    rule, match, g = _random_rule(rng, kind)
+    rec = Record(g.schema)
+    for name, x in (("L", rule.lhs), ("I", rule.interface), ("R", rule.rhs), ("G", g)):
+        rec.fix(name, x)
+    rec.map("l", rule.l)
+    rec.map("r", rule.r)
+    rec.map("match", match)
+    try:
+        rec.outcome("at.", rewrite(rule, match))
+    except Exception as exc:  # refusals are part of the output
+        rec.error(exc)
+    try:
+        outcomes = find_and_rewrite(rule, g)
+        rec.data["found"] = len(outcomes)
+        for i, out in enumerate(outcomes):
+            rec.outcome(f"all{i}.", out)
+    except Exception as exc:
+        rec.data["find_error"] = type(exc).__name__
+    return rec
+
+
+def case_classifier(rng):
+    from oracles import random_acyclic_schema
+
+    from csetrw import partial_map_classifier
+
+    schema = random_acyclic_schema(rng)
+    x = _small(rng, schema, 4, max_parts=2)
+    rec = Record(schema)
+    rec.fix("x", x)
+    t = partial_map_classifier(x)
+    rec.data["T"] = _inst(t.instance)
+    rec.data["eta"] = _comp(t.eta)
+    return rec
+
+
+def case_colimit(rng):
+    from oracles import random_acyclic_schema
+
+    from csetrw import Diagram, coproduct, diagram_colimit
+
+    schema = random_acyclic_schema(rng)
+    xs = [_small(rng, schema, 5, max_parts=2) for _ in range(rng.randint(1, 3))]
+    rec = Record(schema)
+    nodes = [(f"n{i}", x) for i, x in enumerate(xs)]
+    for node, x in nodes:
+        rec.fix(node, x)
+    arrows = []
+    for _ in range(rng.randint(0, 3)):
+        (s, src), (t, tgt) = rng.choice(nodes), rng.choice(nodes)
+        h = _some_hom(rng, src, tgt)
+        if h is not None:
+            rec.map(f"{s}->{t}#{len(arrows)}", h)
+            arrows.append((s, t, h))
+    _, legs = diagram_colimit(Diagram(nodes, arrows))
+    for node, leg in legs.items():
+        rec.map(f"leg.{node}", leg)
+    _, injections = coproduct(xs)
+    for i, inj in enumerate(injections):
+        rec.map(f"inj.{i}", inj)
+    return rec
+
+
+def _cospan(rng, apex, n_feet):
+    from csetrw import StructuredCospan, Transformation, make_instance
+
+    legs = []
+    for _ in range(2):
+        foot = make_instance(apex.schema, {"V": rng.randint(0, n_feet)}, {})
+        vs = [rng.randint(1, apex.card["V"]) for _ in foot.parts("V")] if apex.card["V"] else []
+        legs.append(Transformation(foot, apex, {"V": vs, "E": []}))
+    return StructuredCospan(*legs)
+
+
+def _sub_cospan(rng, cospan, keep):
+    """A sub-cospan: a closed piece of the apex and the foot parts over it."""
+    from csetrw import CospanMorphism, StructuredCospan, Transformation, make_instance
+
+    apex, apex_map = _sub(rng, cospan.apex, keep)
+    position = {v: i + 1 for i, v in enumerate(apex_map.comp["V"])}
+    legs, maps = [], []
+    for leg in (cospan.in_leg, cospan.out_leg):
+        kept = [p for p in leg.dom.parts("V") if leg.comp["V"][p - 1] in position and rng.random() < 0.8]
+        foot = make_instance(apex.schema, {"V": len(kept)}, {})
+        legs.append(Transformation(foot, apex, {"V": [position[leg.comp["V"][p - 1]] for p in kept]}))
+        maps.append(Transformation(foot, leg.dom, {"V": kept}))
+    sub = StructuredCospan(*legs)
+    return sub, CospanMorphism(sub, cospan, apex_map, *maps)
+
+
+def case_open(rng):
+    from oracles import random_instance
+
+    from csetrw import CospanMorphism, OpenRule, graph_schema, identity, open_rewrite
+
+    schema = graph_schema()
+    g = random_instance(rng, schema, max_parts=4, min_parts=1)
+    g_cospan = _cospan(rng, g, 2)
+    l_cospan, match = _sub_cospan(rng, g_cospan, 0.6)
+    i_cospan, l = _sub_cospan(rng, l_cospan, 0.6)
+    r = CospanMorphism(i_cospan, i_cospan, *(identity(x) for x in (i_cospan.apex, i_cospan.foot_in, i_cospan.foot_out)))
+    rec = Record(schema)
+    for name, c in (("G", g_cospan), ("L", l_cospan), ("I", i_cospan)):
+        rec.map(f"{name}.in", c.in_leg)
+        rec.map(f"{name}.out", c.out_leg)
+    for name, m in (("match", match), ("l", l)):
+        for level, t in (("apex", m.apex_map), ("in", m.in_map), ("out", m.out_map)):
+            rec.map(f"{name}.{level}", t)
+    rec.fixed, rec.built = rec.built, {}  # everything so far is input
+    try:
+        out = open_rewrite(OpenRule(l, r), match)
+        for name, c in (("K", out.k), ("H", out.result)):
+            rec.map(f"{name}.in", c.in_leg)
+            rec.map(f"{name}.out", c.out_leg)
+        for level, maps in out.maps.items():
+            for name, t in maps.items():
+                rec.map(f"{level}.{name}", t)
+    except Exception as exc:  # refusals are part of the output
+        rec.error(exc)
+    return rec
+
+
+FAMILIES = {
+    "homomorphisms": case_homs,
+    "pushout/pullback": case_limits,
+    "restrict": case_restrict,
+    "complement": case_complement,
+    "rewrite dpo": lambda rng: case_rewrite(rng, "dpo"),
+    "rewrite spo": lambda rng: case_rewrite(rng, "spo"),
+    "rewrite sqpo": lambda rng: case_rewrite(rng, "sqpo"),
+    "classifier": case_classifier,
+    "colimit": case_colimit,
+    "open_rewrite": case_open,
+}
+
+
+def emit() -> None:
+    for family, make in FAMILIES.items():
+        for i in range(CASES):
+            rec = make(random.Random(f"{family}:{i}"))
+            line = json.dumps(rec.obj(), sort_keys=True, separators=(",", ":"))
+            sys.stdout.write(f"{family}\t{i}\t{line}\n")
+
+
+# ---------------------------------------------------------------------------
+# Comparison (runs in this checkout's interpreter)
+
+
+def _instance(schema, doc):
+    from csetrw import Generator, SchemaPresentation, make_instance
+
+    s = SchemaPresentation(schema["objects"], [Generator(*g) for g in schema["generators"]])
+    return make_instance(s, doc["card"], doc["columns"])
+
+
+def isomorphic_records(a: dict, b: dict) -> bool:
+    """Built instances of a and b related by isomorphisms that carry maps across."""
+    from csetrw import SearchOptions, homomorphisms
+
+    if (a["schema"], a["fixed"], a["data"]) != (b["schema"], b["fixed"], b["data"]):
+        return False
+    if a["built"].keys() != b["built"].keys() or a["maps"].keys() != b["maps"].keys():
+        return False
+    if any(a["maps"][m][:2] != b["maps"][m][:2] for m in a["maps"]):
+        return False
+    objects = a["schema"]["objects"]
+    phi = {
+        name: {o: list(range(1, doc["card"].get(o, 0) + 1)) for o in objects}
+        for name, doc in a["fixed"].items()
+    }
+    maps = [(dom, cod, ca, b["maps"][m][2]) for m, (dom, cod, ca) in a["maps"].items()]
+
+    def commutes(dom, cod, ca, cb) -> bool:
+        return all(
+            phi[cod][o][v - 1] == cb[o][phi[dom][o][i] - 1] for o in objects for i, v in enumerate(ca[o])
+        )
+
+    def pins(x):
+        """Parts of x whose image the maps to and from assigned instances force."""
+        out: dict[str, dict[int, int]] = {o: {} for o in objects}
+        for dom, cod, ca, cb in maps:
+            for o in objects:
+                if cod == x and dom in phi:
+                    forced = [(v, cb[o][phi[dom][o][i] - 1]) for i, v in enumerate(ca[o])]
+                elif dom == x and cod in phi:
+                    forced = []
+                    for i, v in enumerate(ca[o], start=1):
+                        pre = [j for j, w in enumerate(cb[o], start=1) if w == phi[cod][o][v - 1]]
+                        if not pre:
+                            return None
+                        if len(pre) == 1:
+                            forced.append((i, pre[0]))
+                else:
+                    continue
+                for part, value in forced:
+                    if out[o].setdefault(part, value) != value:
+                        return None
+        return out
+
+    def solve(todo: list[str]) -> bool:
+        if not todo:
+            return all(commutes(*m) for m in maps)
+        x = max(todo, key=lambda n: sum(n in m[:2] and (m[0] in phi or m[1] in phi) for m in maps))
+        xa, xb = _instance(a["schema"], a["built"][x]), _instance(a["schema"], b["built"][x])
+        forced = pins(x)
+        if forced is None or xa.card != xb.card:
+            return False
+        rest = [n for n in todo if n != x]
+        for iso in homomorphisms(xa, xb, SearchOptions(monic=True, initial=forced)):
+            phi[x] = iso.comp
+            if all(commutes(*m) for m in maps if m[0] in phi and m[1] in phi) and solve(rest):
+                return True
+        phi.pop(x, None)
+        return False
+
+    return solve(list(a["built"]))
+
+
+def run_side(src: Path) -> dict[tuple[str, int], str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
+    proc = subprocess.run(
+        [sys.executable, __file__, "--emit"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode:
+        sys.exit(f"corpus failed on {src}:\n{proc.stderr}")
+    out = {}
+    for line in proc.stdout.splitlines():
+        family, i, record = line.split("\t")
+        out[family, int(i)] = record
+    return out
+
+
+def export(rev: str, into: Path) -> Path:
+    archive = into / "rev.tar"
+    with archive.open("wb") as fh:
+        subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        # The "data" filter exists from Python 3.10.12 and 3.11.4 on.
+        kw = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(into / "rev", **kw)
+    return into / "rev" / "src"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--against", metavar="REV", help="git revision to compare this checkout with")
+    parser.add_argument("--iso", action="store_true", help="accept records equal up to isomorphism")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        emit()
+        return 0
+    if not args.against:
+        parser.error("--against REV is required")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        theirs = run_side(export(args.against, Path(tmp)))
+    ours = run_side(ROOT / "src")
+    differ = 0
+    for family in FAMILIES:
+        keys = [k for k in ours if k[0] == family]
+        same = [k for k in keys if ours[k] == theirs.get(k)]
+        renumbered = [
+            k for k in keys
+            if k not in same and args.iso and k in theirs
+            and isomorphic_records(json.loads(theirs[k]), json.loads(ours[k]))
+        ]
+        bad = [k for k in keys if k not in same and k not in renumbered]
+        differ += len(bad)
+        line = f"{family:20} {len(keys):4} cases  {len(same):4} identical"
+        if args.iso:
+            line += f"  {len(renumbered):4} isomorphic"
+        print(line + f"  {len(bad):4} differ")
+        if bad:
+            k = bad[0]
+            print(f"  first difference, case {k[1]}:\n    {args.against}: {theirs.get(k)}\n    here: {ours[k]}")
+    print(f"{differ} differing case(s) against {args.against} in {time.perf_counter() - start:.1f} s")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
