@@ -4,10 +4,17 @@ Everything here reduces to finite-set constructions applied one object at
 a time. Pushouts, coproducts and diagram colimits share one quotient of a
 disjoint union by union-find: summands stack in order (B before C;
 diagram nodes in declaration order) and classes are numbered by their
-smallest part. Pullbacks enumerate agreeing pairs, and the partial map
-classifier decorates parts with subfunctors of representables. Columns
-always descend to the constructed instances because the inputs are
-natural.
+smallest part. Python-level work there is per glued pair; the class ids
+are built as runs of `range` between the slots that stopped being roots,
+and columns are pushed down per summand with `map` and joined by slices.
+Pullbacks join agreeing pairs through a hash of the second leg's
+preimages, and the partial map classifier decorates parts with
+subfunctors of representables. Columns always descend to the constructed
+instances because the inputs are natural.
+
+A pushout complement reads only what it deletes: the identification
+check walks B, and the dangling check and the restriction to D visit
+only the column entries that point at deleted or moved parts.
 """
 
 from __future__ import annotations
@@ -15,15 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ComplementViolationsError, NotMonicError
-from .instance import CSetInstance, make_instance, _restrict_removing
+from .instance import CSetInstance, make_instance, _preimages, _restrict_removing
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
-from .transform import Transformation, factor_through, identity, is_natural
+from .transform import Transformation, identity, is_natural
 
 
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
+        self.merged: list[int] = []  # slots that stopped being roots
 
     def find(self, i: int) -> int:
         root = i
@@ -41,6 +49,7 @@ class _UnionFind:
         if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
+        self.merged.append(rb)
 
 
 @dataclass
@@ -101,37 +110,50 @@ def _quotient(
             total[obj] += x.card[obj]
     card: dict[str, int] = {}
     classes: dict[str, list[int]] = {}
+    merged: dict[str, list[int]] = {}
     for obj in schema.objects:
         uf = _UnionFind(total[obj])
         for i, j, pairs in glue:
             shift_i, shift_j = offsets[i][obj] - 1, offsets[j][obj] - 1
             for p, q in pairs[obj]:
                 uf.union(shift_i + p, shift_j + q)
-        # a root is the smallest slot of its class, so it is met first
-        ids = [0] * total[obj]
-        n = 0
-        for slot in range(total[obj]):
-            root = uf.find(slot)
-            if root == slot:
-                n += 1
-                ids[slot] = n
-            else:
-                ids[slot] = ids[root]
+        # roots are the smallest slots of their classes, so the run of roots
+        # between two merged slots takes the next run of ids, and a merged
+        # slot's root comes before it and is already numbered
+        cuts = merged[obj] = sorted(uf.merged)
+        ids: list[int] = []
+        n = prev = 0
+        for slot in cuts + [total[obj]]:
+            ids += range(n + 1, n + 1 + slot - prev)
+            ids.append(0)
+            n, prev = n + slot - prev, slot + 1
+        ids.pop()
+        for slot in cuts:
+            ids[slot] = ids[uf.find(slot)]
         card[obj], classes[obj] = n, ids
-    columns: dict[str, list[int]] = {}
-    for gen in schema.generators:
-        dom_ids, cod_ids = classes[gen.dom], classes[gen.cod]
-        col = [0] * card[gen.dom]
-        for x, offset in zip(summands, offsets):
-            shift = offset[gen.cod] - 1
-            for slot, value in enumerate(x.column[gen.name], start=offset[gen.dom]):
-                col[dom_ids[slot] - 1] = cod_ids[shift + value]
-        columns[gen.name] = col
     legs = [
         {obj: classes[obj][offset[obj] : offset[obj] + x.card[obj]] for obj in schema.objects}
         for x, offset in zip(summands, offsets)
     ]
+    columns: dict[str, list[int]] = {}
+    for gen in schema.generators:
+        stacked: list[int] = []
+        for x, leg in zip(summands, legs):
+            stacked += map(([0] + leg[gen.cod]).__getitem__, x.column[gen.name])
+        # the inputs are natural, so a merged slot's image is its root's
+        columns[gen.name] = _without(stacked, merged[gen.dom])
     return make_instance(schema, card, columns), legs
+
+
+def _without(values: list[int], cuts: list[int]) -> list[int]:
+    """`values` minus the positions in the ascending list `cuts`, by slices."""
+    out: list[int] = []
+    prev = 0
+    for cut in cuts:
+        out += values[prev:cut]
+        prev = cut + 1
+    out += values[prev:]
+    return out
 
 
 def pushout(f: Transformation, g: Transformation) -> PushoutResult:
@@ -226,7 +248,11 @@ class PullbackResult:
 
 
 def pullback(f: Transformation, g: Transformation) -> PullbackResult:
-    """Pullback of B -f-> D <-g- C: agreeing pairs, ordered lexicographically."""
+    """Pullback of B -f-> D <-g- C: agreeing pairs, ordered lexicographically.
+
+    A hash join: C's parts are bucketed by image, in ascending order, and
+    B's parts are walked in order, each paired with its image's bucket.
+    """
     if f.cod != g.cod:
         raise ValueError("pullback requires a shared codomain")
     b, c = f.dom, g.dom
@@ -234,11 +260,13 @@ def pullback(f: Transformation, g: Transformation) -> PullbackResult:
     pairs: dict[str, list[tuple[int, int]]] = {}
     pair_id: dict[str, dict[tuple[int, int], int]] = {}
     for obj in schema.objects:
+        buckets: dict[int, list[int]] = {}
+        for pc, image in enumerate(g.comp[obj], start=1):
+            buckets.setdefault(image, []).append(pc)
         pairs[obj] = [
             (pb, pc)
-            for pb in b.parts(obj)
-            for pc in c.parts(obj)
-            if f.comp[obj][pb - 1] == g.comp[obj][pc - 1]
+            for pb, image in enumerate(f.comp[obj], start=1)
+            for pc in buckets.get(image, ())
         ]
         pair_id[obj] = {pair: i + 1 for i, pair in enumerate(pairs[obj])}
     card = {obj: len(pairs[obj]) for obj in schema.objects}
@@ -302,9 +330,9 @@ def _complement_pass(f: Transformation, g: Transformation) -> tuple[dict[str, se
             else:
                 seen[image] = part
     for gen in schema.generators:
-        for part in c.parts(gen.dom):
-            if c.apply(gen.name, part) in deleted[gen.cod] and part not in deleted[gen.dom]:
-                out.append(DanglingViolation(gen.name, part))
+        for i in _preimages(c.column[gen.name], deleted[gen.cod]):
+            if i + 1 not in deleted[gen.dom]:
+                out.append(DanglingViolation(gen.name, i + 1))
     return deleted, out
 
 
@@ -330,8 +358,20 @@ def pushout_complement(
     deleted, violations = _complement_pass(f, g)
     if violations:
         raise ComplementViolationsError(violations)
-    _, d_to_c = _restrict_removing(g.cod, deleted)
-    return factor_through(f.compose(g), d_to_c), d_to_c
+    _, d_to_c, moved = _restrict_removing(g.cod, deleted)
+    return _into_restriction(f.compose(g), d_to_c, moved), d_to_c
+
+
+def _into_restriction(
+    f: Transformation, incl: Transformation, moved: dict[str, dict[int, int]]
+) -> Transformation:
+    """`factor_through(f, incl)` for an inclusion `_restrict_removing` built.
+
+    Reads only f: kept parts keep their ids unless `moved` renumbers
+    them. f must land in the kept parts.
+    """
+    comp = {obj: [moved[obj].get(v, v) for v in col] for obj, col in f.comp.items()}
+    return Transformation(f.dom, incl.dom, comp)
 
 
 class Classifier:

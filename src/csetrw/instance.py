@@ -6,12 +6,20 @@ use and cached on the instance, so incidence queries cost O(answer) and
 instances nobody searches or walks backwards never pay for it.
 `restrict` is the one subinstance constructor; it numbers the kept parts
 swap-last, as deletion in place would.
+
+Work that touches every part is done a column at a time at C level:
+`make_instance` copies the columns it is given, `validate_instance`
+checks ranges with `min`/`max` and each equation as two composed
+columns, and `restrict` copies each column and patches only the entries
+of moved parts and those pointing at dropped or moved parts. Walks part
+by part happen only where a violation is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import InvalidInstanceError, PartOutOfRangeError
 from .schema import SchemaPath, SchemaPresentation, graph_schema
@@ -98,40 +106,57 @@ class CSetInstance:
 
 def _normalize(schema: SchemaPresentation, card, columns) -> tuple[dict, dict]:
     full_card = {o: int(card.get(o, 0)) for o in schema.objects}
-    full_cols = {g.name: [int(v) for v in columns.get(g.name, [])] for g in schema.generators}
+    full_cols = {g.name: list(columns.get(g.name, ())) for g in schema.generators}
     return full_card, full_cols
 
 
 def validate_instance(x: CSetInstance) -> list:
-    """Totality, codomain bounds and pointwise path equations.
+    """Totality, codomain bounds and path equations, a column at a time.
 
-    Returns violation records; empty means the instance is valid.
+    Returns violation records; empty means the instance is valid. They
+    come in the order of a part-by-part walk: cardinalities, then each
+    generator's length or out-of-range entries, then each equation's
+    failing parts. Only a column or equation found broken is walked part
+    by part.
     """
-    out: list = []
-    for obj in x.schema.objects:
-        if x.card[obj] < 0:
-            out.append(CardViolation(obj, x.card[obj]))
+    out: list = [CardViolation(o, x.card[o]) for o in x.schema.objects if x.card[o] < 0]
     broken: set[str] = set()
     for gen in x.schema.generators:
-        col = x.column[gen.name]
+        col, bound = x.column[gen.name], x.card[gen.cod]
         if len(col) != x.card[gen.dom]:
             out.append(ColumnLengthViolation(gen.name, x.card[gen.dom], len(col)))
             broken.add(gen.name)
-            continue
-        bound = x.card[gen.cod]
-        for i, v in enumerate(col):
-            if not 1 <= v <= bound:
-                out.append(ColumnRangeViolation(gen.name, i + 1, v, bound))
-                broken.add(gen.name)
+        elif col and (min(col) < 1 or max(col) > bound):
+            out.extend(
+                ColumnRangeViolation(gen.name, part, v, bound)
+                for part, v in enumerate(col, start=1)
+                if not 1 <= v <= bound
+            )
+            broken.add(gen.name)
+    shifted: dict[str, list[int]] = {}  # a column behind a 0, indexed by part id
     for eq_idx, (lhs, rhs) in enumerate(x.schema.equations):
-        if broken.intersection(lhs.components) or broken.intersection(rhs.components):
+        if broken and broken.intersection(lhs.components + rhs.components):
             continue
-        for part in x.parts(lhs.source):
-            a = x.apply_path(lhs, part)
-            b = x.apply_path(rhs, part)
-            if a != b:
-                out.append(EquationViolation(eq_idx, part, a, b))
+        a, b = _evaluate(x, lhs, shifted), _evaluate(x, rhs, shifted)
+        if a != b:
+            out.extend(
+                EquationViolation(eq_idx, part, u, v)
+                for part, (u, v) in enumerate(zip(a, b), start=1)
+                if u != v
+            )
     return out
+
+
+def _evaluate(x: CSetInstance, path: SchemaPath, shifted: dict[str, list[int]]) -> list[int]:
+    """A path's value at each part of its source, one composed column."""
+    if not path.components:
+        return list(range(1, x.card[path.source] + 1))
+    values = x.column[path.components[0]]
+    for name in path.components[1:]:
+        if name not in shifted:
+            shifted[name] = [0] + x.column[name]
+        values = list(map(shifted[name].__getitem__, values))
+    return values
 
 
 def build_index(x: CSetInstance) -> dict[str, list[list[int]]]:
@@ -184,40 +209,58 @@ def restrict(x: CSetInstance, kept: dict[str, set[int]]):
         removed[obj] = set(range(1, n + 1)) - keep
         if len(keep) != n - len(removed[obj]):
             raise PartOutOfRangeError(f"kept parts of {obj!r} fall outside 1..{n}")
-    return _restrict_removing(x, removed)
+    return _restrict_removing(x, removed)[:2]
 
 
 def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]]):
     """`restrict` given the parts to drop, each in 1..card.
 
-    For callers that already hold the deleted parts, so no set the size
-    of `x` is built to find them again.
+    For callers that already hold the deleted parts. Returns the
+    subinstance, its inclusion and, per object, the kept parts that
+    moved as {old id: new id}; every other kept part keeps its id. Each
+    column is copied and only the entries of moved parts, or pointing at
+    dropped or moved parts, are patched.
     """
     from .transform import Transformation
 
+    card: dict[str, int] = {}
+    moved: dict[str, dict[int, int]] = {}
     slots: dict[str, list[int]] = {}
-    renumber: dict[str, list[int]] = {}
     for obj in x.schema.objects:
-        n, gone = x.card[obj], removed.get(obj, set())
-        order = list(range(1, n + 1))
-        new = list(order)
+        n, holder = x.card[obj], {}  # holder: slot -> old part, where they differ
         # a removed part has not moved yet: only kept parts above it have
-        for part in sorted(gone, reverse=True):
-            last = order.pop()
-            new[part - 1] = 0
+        for part in sorted(removed.get(obj, ()), reverse=True):
+            last = holder.pop(n, n)
+            n -= 1
             if last != part:
-                order[part - 1] = last
-                new[last - 1] = part
-        slots[obj], renumber[obj] = order, new
+                holder[part] = last
+        card[obj], moved[obj] = n, {old: slot for slot, old in holder.items()}
+        slots[obj] = list(range(1, n + 1))
+        for slot, old in holder.items():
+            slots[obj][slot - 1] = old
     columns: dict[str, list[int]] = {}
     for gen in x.schema.generators:
-        col, cod_new = x.column[gen.name], renumber[gen.cod]
-        sub_col = [cod_new[col[old - 1] - 1] for old in slots[gen.dom]]
-        if 0 in sub_col:
-            raise ValueError(f"kept parts are not closed under column {gen.name!r}")
+        col, gone, cod_moved = x.column[gen.name], removed.get(gen.cod, set()), moved[gen.cod]
+        sub_col = col[: card[gen.dom]]
+        for old, slot in moved[gen.dom].items():
+            sub_col[slot - 1] = col[old - 1]
+        for i in _preimages(sub_col, set(gone).union(cod_moved)):
+            if sub_col[i] in gone:
+                raise ValueError(f"kept parts are not closed under column {gen.name!r}")
+            sub_col[i] = cod_moved[sub_col[i]]
         columns[gen.name] = sub_col
-    sub = make_instance(x.schema, {obj: len(s) for obj, s in slots.items()}, columns)
-    return sub, Transformation(sub, x, slots)
+    sub = make_instance(x.schema, card, columns)
+    return sub, Transformation(sub, x, slots), moved
+
+
+def _preimages(col: list[int], targets: set[int]) -> list[int]:
+    """Ascending 0-based positions of `col` whose entry is in `targets`.
+
+    One C-level pass over the column, skipped when no entry is.
+    """
+    if not targets or targets.isdisjoint(col):
+        return []
+    return list(compress(range(len(col)), map(targets.__contains__, col)))
 
 
 def schema_graph(schema: SchemaPresentation) -> CSetInstance:

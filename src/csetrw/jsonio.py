@@ -2,6 +2,9 @@
 
 All part ids are 1-based externally; arrays preserve declaration order.
 Dumping is canonical so that parse/dump round trips are byte-exact.
+Parsing checks every field's JSON type: names are strings, cardinalities
+are integers and columns and components are lists of integers (booleans
+and floats are refused), so an ill-typed document raises ParseError.
 """
 
 from __future__ import annotations
@@ -24,10 +27,38 @@ def dumps(obj: dict | list) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _require(obj, key: str, kind: str):
+_TYPE_NAMES = {str: "a string", list: "a list", dict: "an object"}
+_INT = frozenset({int})  # bool and float are distinct types, so they fail too
+
+
+def _require(obj, key: str, kind: str, of: type | None = None):
+    """Field `key` of a `kind` document, of JSON type `of` when given."""
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{kind} document is missing field {key!r}")
-    return obj[key]
+    if of is None:
+        return obj[key]
+    return _typed(obj[key], of, f"field {key!r} of a {kind} document")
+
+
+def _typed(value, of: type, what: str):
+    if not isinstance(value, of):
+        raise ParseError(f"{what} must be {_TYPE_NAMES[of]}")
+    return value
+
+
+def _strings(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{what} must be a list of strings")
+    return value
+
+
+def _int_lists(value, what: str) -> dict[str, list[int]]:
+    """An object of lists of integers, as given; bools and floats are refused."""
+    _typed(value, dict, what)
+    for key, col in value.items():
+        if not isinstance(col, list) or not _INT.issuperset(map(type, col)):
+            raise ParseError(f"{what} entry {key!r} must be a list of integers")
+    return value
 
 
 def path_to_obj(path: SchemaPath) -> dict:
@@ -35,7 +66,10 @@ def path_to_obj(path: SchemaPath) -> dict:
 
 
 def parse_path(obj) -> SchemaPath:
-    return SchemaPath(_require(obj, "source", "path"), tuple(_require(obj, "components", "path")))
+    return SchemaPath(
+        _require(obj, "source", "path", str),
+        tuple(_strings(_require(obj, "components", "path"), "path components")),
+    )
 
 
 def schema_to_obj(schema: SchemaPresentation) -> dict:
@@ -47,14 +81,16 @@ def schema_to_obj(schema: SchemaPresentation) -> dict:
 
 
 def parse_schema(obj) -> SchemaPresentation:
-    objects = _require(obj, "objects", "schema")
+    objects = _strings(_require(obj, "objects", "schema"), "schema objects")
     generators = [
-        Generator(_require(g, "name", "generator"), _require(g, "dom", "generator"), _require(g, "cod", "generator"))
-        for g in _require(obj, "generators", "schema")
+        Generator(*(_require(g, key, "generator", str) for key in ("name", "dom", "cod")))
+        for g in _require(obj, "generators", "schema", list)
     ]
-    equations = [
-        (parse_path(pair[0]), parse_path(pair[1])) for pair in obj.get("equations", [])
-    ]
+    equations = []
+    for pair in _typed(obj.get("equations", []), list, "schema equations"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError("a schema equation must be a list of two paths")
+        equations.append((parse_path(pair[0]), parse_path(pair[1])))
     return SchemaPresentation(list(objects), generators, equations)
 
 
@@ -74,8 +110,10 @@ def parse_instance(obj, resolver: Resolver | None = None) -> CSetInstance:
         schema = resolver(ref)
     else:
         schema = parse_schema(ref)
-    card = {str(k): int(v) for k, v in _require(obj, "card", "instance").items()}
-    columns = {str(k): [int(v) for v in col] for k, col in _require(obj, "columns", "instance").items()}
+    card = _require(obj, "card", "instance", dict)
+    if not _INT.issuperset(map(type, card.values())):
+        raise ParseError("instance cardinalities must be integers")
+    columns = _int_lists(_require(obj, "columns", "instance"), "instance columns")
     return make_instance(schema, card, columns)
 
 
@@ -84,7 +122,10 @@ def transformation_to_obj(t: Transformation) -> dict:
 
 
 def parse_transformation(obj, dom: CSetInstance, cod: CSetInstance) -> Transformation:
-    comp = {str(k): [int(v) for v in col] for k, col in _require(obj, "comp", "transformation").items()}
+    comp = _int_lists(_require(obj, "comp", "transformation"), "transformation components")
+    unknown = sorted(set(comp) - set(dom.schema.objects))
+    if unknown:
+        raise ParseError(f"transformation names unknown object {unknown[0]!r}")
     return Transformation(dom, cod, comp)
 
 
@@ -121,8 +162,8 @@ def cospan_to_obj(c: StructuredCospan, schema_ref: str | None = None) -> dict:
 
 def parse_cospan(obj, resolver: Resolver | None = None) -> StructuredCospan:
     apex = parse_instance(_require(obj, "apex", "cospan"), resolver)
-    feet = [parse_instance(f, resolver) for f in _require(obj, "feet", "cospan")]
-    legs = _require(obj, "legs", "cospan")
+    feet = [parse_instance(f, resolver) for f in _require(obj, "feet", "cospan", list)]
+    legs = _require(obj, "legs", "cospan", list)
     if len(feet) != 2 or len(legs) != 2:
         raise ParseError("cospan documents carry exactly two feet and two legs")
     return StructuredCospan(
@@ -146,14 +187,14 @@ def diagram_to_obj(d: Diagram, schema_ref: str | None = None) -> dict:
 
 def parse_diagram(obj, resolver: Resolver | None = None) -> Diagram:
     nodes = [
-        (_require(n, "id", "diagram node"), parse_instance(_require(n, "instance", "diagram node"), resolver))
-        for n in _require(obj, "nodes", "diagram")
+        (_require(n, "id", "diagram node", str), parse_instance(_require(n, "instance", "diagram node"), resolver))
+        for n in _require(obj, "nodes", "diagram", list)
     ]
     labels = dict(nodes)
     arrows = []
-    for a in obj.get("arrows", []):
-        src = _require(a, "src", "diagram arrow")
-        tgt = _require(a, "tgt", "diagram arrow")
+    for a in _typed(obj.get("arrows", []), list, "diagram arrows"):
+        src = _require(a, "src", "diagram arrow", str)
+        tgt = _require(a, "tgt", "diagram arrow", str)
         if src not in labels or tgt not in labels:
             raise ParseError(f"diagram arrow references unknown node {src!r} or {tgt!r}")
         arrows.append((src, tgt, parse_transformation(_require(a, "map", "diagram arrow"), labels[src], labels[tgt])))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .colimits import final_pullback_complement, pushout, pushout_complement
+from .colimits import _into_restriction, final_pullback_complement, pushout, pushout_complement
 from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
 from .instance import CSetInstance, _restrict_removing
 from .search import SearchOptions, homomorphisms
@@ -165,14 +165,14 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
             break
         dead_i = new_dead
 
-    k, k_to_g = _restrict_removing(g, dead_g)
+    k, k_to_g, moved = _restrict_removing(g, dead_g)
     dead_r = deletion_closure(
         rule.rhs, {obj: {rule.r.comp[obj][i - 1] for i in dead_i[obj]} for obj in schema.objects}
     )
-    _, r_kept = _restrict_removing(rule.rhs, dead_r)
-    _, j_to_i = _restrict_removing(interface, dead_i)
+    _, r_kept, _ = _restrict_removing(rule.rhs, dead_r)
+    _, j_to_i, _ = _restrict_removing(interface, dead_i)
     j_to_r = factor_through(j_to_i.compose(rule.r), r_kept)
-    j_to_k = factor_through(j_to_i.compose(rule.l).compose(match), k_to_g)
+    j_to_k = _into_restriction(j_to_i.compose(rule.l).compose(match), k_to_g, moved)
     po = pushout(j_to_r, j_to_k)
     return RewriteOutcome(
         result=po.apex,

@@ -17,7 +17,7 @@ class Transformation:
     comp: dict[str, list[int]]
 
     def __post_init__(self):
-        self.comp = {o: [int(v) for v in self.comp.get(o, [])] for o in self.dom.schema.objects}
+        self.comp = {o: list(self.comp.get(o, ())) for o in self.dom.schema.objects}
 
     def apply(self, obj: str, part: int) -> int:
         return self.comp[obj][part - 1]

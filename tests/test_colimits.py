@@ -8,6 +8,7 @@ from csetrw.colimits import (
     DanglingViolation,
     Diagram,
     IdentificationViolation,
+    _quotient,
     check_pushout_complement,
     coproduct,
     diagram_colimit,
@@ -18,10 +19,10 @@ from csetrw.colimits import (
     pushout_complement,
 )
 from csetrw.errors import ComplementViolationsError, CyclicSchemaError, NotMonicError
-from csetrw.instance import empty_instance, make_instance, validate_instance
+from csetrw.instance import empty_instance, make_instance, restrict, validate_instance
 from csetrw.schema import Generator, SchemaPresentation
 from csetrw.search import is_isomorphic
-from csetrw.transform import Transformation, identity, is_natural
+from csetrw.transform import Transformation, factor_through, identity, is_natural
 
 from oracles import (
     brute_homs,
@@ -387,3 +388,117 @@ def test_pullback_universal_randomized():
             mediators = mediating_in(pb.p1, pb.p2, u, v)
             assert len(mediators) == 1
             assert pb.universal(u, v) == mediators[0]
+
+
+def plain_quotient(summands, glue):
+    """_quotient by a plain union-find that pushes every slot's column entry."""
+    schema = summands[0].schema
+    offsets, total = [], {o: 0 for o in schema.objects}
+    for x in summands:
+        offsets.append(dict(total))
+        for o in schema.objects:
+            total[o] += x.card[o]
+    ids = {}
+    for o in schema.objects:
+        parent = list(range(total[o]))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, j, pairs in glue:
+            for p, q in pairs[o]:
+                a, b = sorted((find(offsets[i][o] + p - 1), find(offsets[j][o] + q - 1)))
+                parent[b] = a
+        roots = sorted({find(s) for s in range(total[o])})
+        number = {r: k + 1 for k, r in enumerate(roots)}
+        ids[o] = [number[find(s)] for s in range(total[o])]
+    columns = {}
+    for gen in schema.generators:
+        col = [0] * (max(ids[gen.dom], default=0))
+        for x, off in zip(summands, offsets):
+            for p, v in enumerate(x.column[gen.name]):
+                col[ids[gen.dom][off[gen.dom] + p] - 1] = ids[gen.cod][off[gen.cod] + v - 1]
+        columns[gen.name] = col
+    card = {o: max(ids[o], default=0) for o in schema.objects}
+    legs = [{o: ids[o][off[o] : off[o] + x.card[o]] for o in schema.objects} for x, off in zip(summands, offsets)]
+    return card, columns, legs
+
+
+def test_quotient_agrees_with_plain_union_find():
+    rng = random.Random(37)
+    glued = 0
+    for _ in range(300):
+        schema = random_acyclic_schema(rng)
+        xs = [random_instance(rng, schema, max_parts=rng.choice([0, 2, 3])) for _ in range(rng.randint(1, 6))]
+        glue = []
+        for _ in range(rng.randint(0, 4)):
+            # i == j glues a summand to itself, and i == j == 0 merges inside the first
+            i = rng.randrange(len(xs)) if rng.random() < 0.7 else 0
+            j = i if rng.random() < 0.3 else rng.randrange(len(xs))
+            if sum(xs[i].card.values()) <= 4:
+                homs = brute_homs(xs[i], xs[j])
+            else:  # too many maps to enumerate
+                homs = [identity(xs[i])] if i == j else []
+            if homs:
+                h = rng.choice(homs)
+                glue.append((i, j, {o: list(enumerate(h.comp[o], start=1)) for o in schema.objects}))
+        apex, legs = _quotient(xs, glue)
+        assert (apex.card, apex.column, legs) == plain_quotient(xs, glue)
+        glued += bool(glue)
+    assert glued > 150
+
+
+def walk_complement_check(f, g):
+    """check_pushout_complement's violations by the scan of every column it replaced."""
+    out, deleted = [], {}
+    c = g.cod
+    for obj in f.dom.schema.objects:
+        preserved, seen = f.image(obj), {}
+        deleted[obj] = set()
+        for part in f.cod.parts(obj):
+            image = g.comp[obj][part - 1]
+            if part not in preserved:
+                deleted[obj].add(image)
+            if image in seen:
+                if not (seen[image] in preserved and part in preserved):
+                    out.append(IdentificationViolation(obj, seen[image], part))
+            else:
+                seen[image] = part
+    for gen in c.schema.generators:
+        for part in c.parts(gen.dom):
+            if c.apply(gen.name, part) in deleted[gen.cod] and part not in deleted[gen.dom]:
+                out.append(DanglingViolation(gen.name, part))
+    return out
+
+
+def test_complement_agrees_with_column_scan():
+    rng = random.Random(43)
+    built = refused = 0
+    for _ in range(300):
+        schema = random_acyclic_schema(rng)
+        c = random_instance(rng, schema, max_parts=4)
+        b = random_instance(rng, schema, max_parts=2)
+        homs = brute_homs(b, c)
+        if not homs:
+            continue
+        g = rng.choice(homs)  # not always monic: identification can fail too
+        a_parts = random_closed_parts(rng, b, keep_probability=0.5)
+        a = subinstance(b, a_parts)
+        f = Transformation(a, b, {o: sorted(a_parts[o]) for o in schema.objects})
+        expected = walk_complement_check(f, g)
+        assert check_pushout_complement(f, g) == expected
+        if expected:
+            with pytest.raises(ComplementViolationsError) as err:
+                pushout_complement(f, g)
+            assert err.value.violations == expected
+            refused += 1
+            continue
+        a_to_d, d_to_c = pushout_complement(f, g)
+        deleted = {o: set(c.parts(o)) - set(d_to_c.comp[o]) for o in schema.objects}
+        sub, incl = restrict(c, {o: set(c.parts(o)) - deleted[o] for o in schema.objects})
+        assert (d_to_c.dom, d_to_c.comp) == (sub, incl.comp)
+        assert a_to_d == factor_through(f.compose(g), d_to_c)
+        built += 1
+    assert built > 50 and refused > 50

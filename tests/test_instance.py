@@ -6,8 +6,12 @@ import pytest
 
 from csetrw.errors import InvalidInstanceError, PartOutOfRangeError
 from csetrw.instance import (
+    CardViolation,
+    ColumnLengthViolation,
+    ColumnRangeViolation,
     CSetInstance,
     EquationFailure,
+    EquationViolation,
     MissingEdge,
     check_discrete_opfibration,
     elements,
@@ -18,10 +22,12 @@ from csetrw.instance import (
     schema_graph,
     validate_instance,
 )
+from csetrw.mesh import gen_mesh
+from csetrw.schema import Generator, SchemaPath, SchemaPresentation
 from csetrw.search import is_isomorphic
 from csetrw.transform import Transformation
 
-from oracles import random_acyclic_schema, random_instance
+from oracles import random_acyclic_schema, random_closed_parts, random_instance
 
 
 def test_make_instance_builds_indices(small_graph):
@@ -154,3 +160,113 @@ def test_restrict_requires_closure(small_graph):
     sub, incl = restrict(small_graph, {"V": {1, 2}, "E": {1}})
     assert sub.card == {"V": 2, "E": 1}
     assert incl.comp == {"V": [1, 2], "E": [1]}
+
+
+def walk_validate(x: CSetInstance) -> list:
+    """validate_instance's records by the part-by-part walk it replaced."""
+    out: list = [CardViolation(o, x.card[o]) for o in x.schema.objects if x.card[o] < 0]
+    broken = set()
+    for gen in x.schema.generators:
+        col, bound = x.column[gen.name], x.card[gen.cod]
+        if len(col) != x.card[gen.dom]:
+            out.append(ColumnLengthViolation(gen.name, x.card[gen.dom], len(col)))
+            broken.add(gen.name)
+            continue
+        for i, v in enumerate(col):
+            if not 1 <= v <= bound:
+                out.append(ColumnRangeViolation(gen.name, i + 1, v, bound))
+                broken.add(gen.name)
+    for eq_idx, (lhs, rhs) in enumerate(x.schema.equations):
+        if broken.intersection(lhs.components + rhs.components):
+            continue
+        for part in range(1, x.card[lhs.source] + 1):
+            a, b = x.apply_path(lhs, part), x.apply_path(rhs, part)
+            if a != b:
+                out.append(EquationViolation(eq_idx, part, a, b))
+    return out
+
+
+def _corrupted(rng, x: CSetInstance) -> CSetInstance:
+    """A copy of x with one to three random defects, built without checks."""
+    card, columns = dict(x.card), {g: list(c) for g, c in x.column.items()}
+    for _ in range(rng.randint(1, 3)):
+        gen = rng.choice(x.schema.generators)
+        col = columns[gen.name]
+        defect = rng.choice(["length", "range", "card", "equation", "equation"])
+        if defect == "length" and col and rng.random() < 0.5:
+            col.pop()
+        elif defect == "length":
+            col.append(1)
+        elif defect == "range" and col:
+            col[rng.randrange(len(col))] = rng.choice([0, -1, card[gen.cod] + 1, card[gen.cod] + 7])
+        elif defect == "card":
+            card[rng.choice(x.schema.objects)] = -1
+        elif defect == "equation" and col and card[gen.cod] > 1:
+            col[rng.randrange(len(col))] = rng.randint(1, card[gen.cod])
+    return CSetInstance(x.schema, card, columns)
+
+
+def test_validate_instance_agrees_with_part_walk():
+    rng = random.Random(29)
+    involution = SchemaPresentation(
+        ["V", "E"],
+        [Generator("inv", "E", "E"), Generator("src", "E", "V")],
+        [(SchemaPath("E", ("inv", "inv")), SchemaPath("E", ()))],
+    )
+    hosts = [gen_mesh(2, 3), gen_mesh(1, 1)]
+    hosts.append(make_instance(involution, {"V": 2, "E": 4}, {"inv": [2, 1, 4, 3], "src": [1, 1, 2, 2]}))
+    hosts += [random_instance(rng, random_acyclic_schema(rng), max_parts=4) for _ in range(20)]
+    kinds = set()
+    for i in range(600):
+        x = _corrupted(rng, hosts[i % len(hosts)])
+        expected = walk_validate(x)
+        assert validate_instance(x) == expected
+        kinds.update(type(v).__name__ for v in expected)
+    assert kinds == {"CardViolation", "ColumnLengthViolation", "ColumnRangeViolation", "EquationViolation"}
+    for x in hosts:
+        assert validate_instance(x) == walk_validate(x) == []
+
+
+def walk_restrict(x: CSetInstance, kept: dict[str, set[int]]):
+    """restrict's card, columns and inclusion by the per-part remap it replaced."""
+    slots, renumber = {}, {}
+    for obj in x.schema.objects:
+        n = x.card[obj]
+        order = list(range(1, n + 1))
+        new = list(order)
+        for part in sorted(set(order) - kept.get(obj, set()), reverse=True):
+            last = order.pop()
+            new[part - 1] = 0
+            if last != part:
+                order[part - 1] = last
+                new[last - 1] = part
+        slots[obj], renumber[obj] = order, new
+    columns = {}
+    for gen in x.schema.generators:
+        col = [renumber[gen.cod][x.column[gen.name][old - 1] - 1] for old in slots[gen.dom]]
+        if 0 in col:
+            raise ValueError(f"kept parts are not closed under column {gen.name!r}")
+        columns[gen.name] = col
+    return {o: len(s) for o, s in slots.items()}, columns, slots
+
+
+def test_restrict_agrees_with_per_part_remap():
+    rng = random.Random(31)
+    refused = 0
+    for i in range(400):
+        x = random_instance(rng, random_acyclic_schema(rng), max_parts=6)
+        if i % 2:
+            kept = random_closed_parts(rng, x, keep_probability=rng.random())
+        else:  # often not closed
+            kept = {o: {p for p in x.parts(o) if rng.random() < 0.6} for o in x.schema.objects}
+        try:
+            expected = walk_restrict(x, kept)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                restrict(x, kept)
+            assert str(err.value) == str(exc)
+            refused += 1
+            continue
+        sub, incl = restrict(x, kept)
+        assert (sub.card, sub.column, incl.comp) == expected
+    assert 50 < refused < 200

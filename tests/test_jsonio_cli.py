@@ -420,3 +420,96 @@ def test_cli_output_is_byte_deterministic(tmp_path):
     assert main(args + ["-o", str(first)]) == 0
     assert main(args + ["-o", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Ill-typed and truncated documents
+
+# Per document kind: a fixture and the command that reads it, with "{}"
+# standing for the (mutated) copy of the fixture.
+DOCUMENT_COMMANDS = {
+    "schema": ("d2.json", ["validate", "{}"]),
+    "instance": ("mesh_1x2.json", ["validate", "{}", "--schema", fixture("d2.json")]),
+    "rule": ("flip_rule.json", ["rewrite", "{}", fixture("mesh_1x2.json"), "--schema", fixture("d2.json"), "--all"]),
+    "transformation": (
+        "flip_match.json",
+        ["rewrite", fixture("flip_rule.json"), fixture("mesh_1x2.json"), "--schema", fixture("d2.json"), "--match", "{}"],
+    ),
+    "cospan": ("open_edge_a.json", ["compose", "{}", fixture("open_edge_b.json"), "--schema", fixture("graph.json")]),
+    "diagram": ("cube_diagram.json", ["colimit", "{}", "--schema", fixture("graph.json")]),
+}
+SWAPS = (1.5, True, "1", None, [], {})
+
+
+def _run_mutated(tmp_path, kind: str, text: str, capsys) -> tuple[int, str]:
+    name, argv = DOCUMENT_COMMANDS[kind]
+    path = tmp_path / name
+    path.write_text(text)
+    code = main([str(path) if a == "{}" else a for a in argv])
+    return code, capsys.readouterr().err
+
+
+def _positions(doc, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _positions(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_fixtures_pass_their_commands(tmp_path, capsys):
+    for kind, (name, _) in DOCUMENT_COMMANDS.items():
+        assert _run_mutated(tmp_path, kind, (FIXTURES / name).read_text(), capsys) == (0, ""), kind
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_COMMANDS))
+def test_cli_ill_typed_documents_exit_2(kind, tmp_path, capsys):
+    import random
+
+    doc = load(DOCUMENT_COMMANDS[kind][0])
+    positions = list(_positions(doc))
+    rng = random.Random(kind)
+    for path, value in rng.sample(positions, min(40, len(positions))):
+        for swap in SWAPS:
+            if type(swap) is type(value):
+                continue
+            code, err = _run_mutated(tmp_path, kind, jsonio.dumps(_replaced(doc, path, swap)), capsys)
+            assert (code, err.count("\n")) == (2, 1), (path, swap, err)
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_COMMANDS))
+def test_cli_truncated_documents_exit_2(kind, tmp_path, capsys):
+    text = (FIXTURES / DOCUMENT_COMMANDS[kind][0]).read_text()
+    for cut in range(1, len(text) - 1, max(1, len(text) // 12)):
+        code, err = _run_mutated(tmp_path, kind, text[:cut], capsys)
+        assert (code, err.count("\n")) == (2, 1), (cut, err)
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("instance", ("card",), [1]),
+        ("transformation", ("comp",), [1]),
+        ("instance", ("columns", "src"), None),
+        ("transformation", ("comp", "V"), None),
+        ("instance", ("columns", "src", 0), 1.5),
+        ("instance", ("columns", "src", 0), True),
+        ("transformation", ("comp", "V", 0), 1.5),
+        ("transformation", ("comp", "X"), [1]),
+    ],
+)
+def test_cli_named_ill_typed_inputs_exit_2(kind, path, value, tmp_path, capsys):
+    doc = _replaced(load(DOCUMENT_COMMANDS[kind][0]), path, value)
+    code, err = _run_mutated(tmp_path, kind, jsonio.dumps(doc), capsys)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1

@@ -8,7 +8,8 @@ interpreter with its own `src/` first on the import path, and both draw
 their inputs from this checkout's `tests/oracles.py` with the same seeds:
 homomorphisms (plain, monic, pinned, limited), `is_isomorphic`, pushouts,
 pullbacks, `restrict`, pushout complements and their refusals, `rewrite`
-and `find_and_rewrite` under DPO, SPO and SqPO, the partial map
+and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
+that feed each result back as the next host, the partial map
 classifier, `diagram_colimit` with `coproduct`, and `open_rewrite`.
 
 Every case gives one canonical JSON record: the input instances, the
@@ -36,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = 100  # seeded cases per family
+CHAIN_STEPS = 5  # rewrite steps per semantics in a "rewrite chain" case
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +268,39 @@ def case_rewrite(rng, kind):
     return rec
 
 
+def case_chain(rng):
+    """One random rule under DPO, SPO and SqPO, each result the next host.
+
+    Each step rewrites at the first applicable match in a seeded shuffle
+    of all matches (monic ones for SqPO); a chain with none stops there.
+    """
+    from csetrw import ComplementViolationsError, Rule, SearchOptions, homomorphisms, rewrite
+
+    base, _, g = _random_rule(rng, "dpo")
+    rec = Record(g.schema)
+    for name, x in (("L", base.lhs), ("I", base.interface), ("R", base.rhs), ("G", g)):
+        rec.fix(name, x)
+    rec.map("l", base.l)
+    rec.map("r", base.r)
+    for kind in ("dpo", "spo", "sqpo"):
+        rule, host = Rule(base.l, base.r, kind=kind), g
+        for step in range(CHAIN_STEPS):
+            matches = homomorphisms(rule.lhs, host, SearchOptions(monic=kind == "sqpo"))
+            rng.shuffle(matches)
+            for match in matches:
+                try:
+                    out = rewrite(rule, match)
+                    break
+                except ComplementViolationsError:
+                    continue
+            else:
+                rec.data[f"{kind} stuck at step"] = step
+                break
+            rec.outcome(f"{kind}{step}.", out)
+            host = out.result
+    return rec
+
+
 def case_classifier(rng):
     from oracles import random_acyclic_schema
 
@@ -375,6 +410,7 @@ FAMILIES = {
     "rewrite dpo": lambda rng: case_rewrite(rng, "dpo"),
     "rewrite spo": lambda rng: case_rewrite(rng, "spo"),
     "rewrite sqpo": lambda rng: case_rewrite(rng, "sqpo"),
+    "rewrite chain": case_chain,
     "classifier": case_classifier,
     "colimit": case_colimit,
     "open_rewrite": case_open,
