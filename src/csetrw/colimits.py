@@ -15,6 +15,13 @@ instances because the inputs are natural.
 A pushout complement reads only what it deletes: the identification
 check walks B, and the dangling check and the restriction to D visit
 only the column entries that point at deleted or moved parts.
+
+A final pullback complement reads only the match's upward closure, the
+parts of G from which some path reaches the match: only they classify
+as more than the empty partial map, so only they are classified, split
+or dropped, and every other part of G is carried over by a renumbering
+of whole column runs. T(X) is built on first use and kept on X, like
+the preimage index, so a rule's T(L) and T(I) are built once.
 """
 
 from __future__ import annotations
@@ -397,6 +404,12 @@ class Classifier:
                 d: {members[0]: i for i, members in enumerate(cls)}
                 for d, cls in self._classes[c].items()
             }
+        # per object c, in the key's order: each d with the representative
+        # path of every class c -> d
+        self._reps = {
+            c: [(d, [cls[0] for cls in self._classes[c][d]]) for d in sorted(schema.objects)]
+            for c in schema.objects
+        }
         # element records per object: (S, h) with S = {obj: tuple of class ids}
         # and h = {obj: tuple of X-parts aligned with S[obj]}
         self.elements: dict[str, list[tuple[dict, dict]]] = {}
@@ -489,6 +502,7 @@ class Classifier:
 
     @staticmethod
     def _key(sub: dict, hvals: dict) -> tuple:
+        """Index key of a T-part; `_classify` and `classifier_map` build it directly."""
         return tuple((d, tuple(sub[d]), tuple(hvals[d])) for d in sorted(sub))
 
     def _push_along(self, c: str, gen_name: str, record: tuple[dict, dict]) -> int:
@@ -520,46 +534,50 @@ class Classifier:
         if sub.dom != f.dom:
             raise ValueError("partial map legs must share their domain")
         a = sub.cod
-        # the partial map A -> X as columns over A; 0 where undefined
-        partial = {d: [0] * a.card[d] for d in self.schema.objects}
-        for d in self.schema.objects:
-            for p, v in zip(sub.comp[d], f.comp[d]):
-                partial[d][p - 1] = v
-        comp: dict[str, list[int]] = {}
-        for c in self.schema.objects:
-            col = []
-            for part in a.parts(c):
-                sel: dict[str, tuple[int, ...]] = {}
-                hvals: dict[str, tuple[int, ...]] = {}
-                for d in self.schema.objects:
-                    picked = []
-                    vals = []
-                    for k in range(len(self._classes[c][d])):
-                        value = partial[d][a.apply_path(self._rep_path(c, d, k), part) - 1]
-                        if value:
-                            picked.append(k)
-                            vals.append(value)
-                    sel[d] = tuple(picked)
-                    hvals[d] = tuple(vals)
-                col.append(self._index[c][self._key(sel, hvals)])
-            comp[c] = col
+        partial = {d: dict(zip(sub.comp[d], f.comp[d])) for d in self.schema.objects}
+        comp = {
+            c: [self._classify(a, partial, c, part) for part in a.parts(c)]
+            for c in self.schema.objects
+        }
         return Transformation(a, self.instance, comp)
+
+    def _classify(self, a: CSetInstance, partial: dict[str, dict[int, int]], c: str, part: int) -> int:
+        """The T-part classifying one part of A at c.
+
+        `partial` is the partial map A -> X, per object {A-part: X-part}.
+        """
+        key = []
+        for d, paths in self._reps[c]:
+            picked, vals = [], []
+            for k, path in enumerate(paths):
+                value = partial[d].get(a.apply_path(path, part))
+                if value:
+                    picked.append(k)
+                    vals.append(value)
+            key.append((d, tuple(picked), tuple(vals)))
+        return self._index[c][tuple(key)]
 
 
 def partial_map_classifier(x: CSetInstance) -> Classifier:
-    """Classifier with `.instance` T(X) and unit `.eta`: X -> T(X)."""
-    return Classifier(x)
+    """Classifier with `.instance` T(X) and unit `.eta`: X -> T(X).
+
+    Built on first use and kept on x, like its preimage index.
+    """
+    return x.classifier
 
 
 def classifier_map(tdom: Classifier, tcod: Classifier, f: Transformation) -> Transformation:
     """Functorial action T(f): T(X) -> T(Y) postcomposing decorations with f."""
+    objects = tdom.schema.objects
+    shifted = {d: [0] + f.comp[d] for d in objects}  # f's column, indexed by part id
+    order = sorted(objects)  # the key's order
     comp: dict[str, list[int]] = {}
-    for c in tdom.schema.objects:
-        col = []
-        for sub, hvals in tdom.elements[c]:
-            pushed = {d: tuple(f.comp[d][v - 1] for v in hvals[d]) for d in tdom.schema.objects}
-            col.append(tcod._index[c][Classifier._key(sub, pushed)])
-        comp[c] = col
+    for c in objects:
+        index = tcod._index[c]
+        comp[c] = [
+            index[tuple((d, sub[d], tuple(map(shifted[d].__getitem__, hvals[d]))) for d in order)]
+            for sub, hvals in tdom.elements[c]
+        ]
     return Transformation(tdom.instance, tcod.instance, comp)
 
 
@@ -568,16 +586,88 @@ def final_pullback_complement(
 ) -> tuple[Transformation, Transformation]:
     """Final pullback complement of I -l-> L -match-> G (match monic).
 
-    Constructed by pulling back the classifying map of the match against
-    T(l); every other pullback complement factors uniquely through it.
-    Returns (I -> K, K -> G).
+    K is the pullback of the match's classifying map χ: G -> T(L) against
+    T(l), numbered as `pullback` numbers it: each part of G in order,
+    expanded into the parts of T(I) over its χ-value, ascending. Only the
+    parts of G from which some path reaches the match classify as more
+    than ⊥, whose one preimage is T(I)'s ⊥; every other part is copied as
+    one part of K. So χ is evaluated on that neighbourhood alone, and
+    K's columns are G's pushed through a renumbering built from `range`
+    runs, with only the neighbourhood's entries patched. Returns
+    (I -> K, K -> G).
     """
+    if l.cod != match.dom:
+        raise ValueError("the match must start where the rule leg ends")
     if not match.is_monic():
         raise NotMonicError("final pullback complements require a monic match")
-    t_l = Classifier(match.dom)
-    t_i = Classifier(l.dom)
-    chi = t_l.classify_partial(match, identity(match.dom))
-    pushed = classifier_map(t_i, t_l, l)
-    pb = pullback(chi, pushed)
-    k = pb.universal(l.compose(match), t_i.eta)
-    return k, pb.p1
+    t_l, t_i = partial_map_classifier(l.cod), partial_map_classifier(l.dom)
+    g = match.cod
+    schema = g.schema
+    near = _reaching(match)
+    t_of_l = classifier_map(t_i, t_l, l)
+    partial = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
+    card: dict[str, int] = {}
+    ids: dict[str, list[int]] = {}  # K-part of each G-part outside the neighbourhood
+    fibres: dict[str, list[tuple[int, list[int]]]] = {}  # (G-part, its T(I)-parts) near the match
+    pair_id: dict[str, dict[tuple[int, int], int]] = {}
+    k_to_g: dict[str, list[int]] = {}
+    for c in schema.objects:
+        over: dict[int, list[int]] = {}
+        for t, image in enumerate(t_of_l.comp[c], start=1):
+            over.setdefault(image, []).append(t)
+        fibres[c] = [(h, over.get(t_l._classify(g, partial, c, h), [])) for h in near[c]]
+        ren, back, local = [0], [], {}
+        shift = prev = 0
+        for h, ts in fibres[c]:
+            ren += range(prev + 1 + shift, h + shift)
+            ren.append(0)
+            back += range(prev + 1, h)
+            back += [h] * len(ts)
+            for j, t in enumerate(ts):
+                local[h, t] = h + shift + j
+            shift += len(ts) - 1
+            prev = h
+        ren += range(prev + 1 + shift, g.card[c] + 1 + shift)
+        back += range(prev + 1, g.card[c] + 1)
+        card[c], ids[c], pair_id[c], k_to_g[c] = g.card[c] + shift, ren, local, back
+    columns: dict[str, list[int]] = {}
+    for gen in schema.generators:
+        col, t_col = g.column[gen.name], t_i.instance.column[gen.name]
+        ren, local = ids[gen.cod], pair_id[gen.cod]
+        # a part outside the neighbourhood points outside it, so only the
+        # neighbourhood's entries are patched
+        mapped = list(map(ren.__getitem__, col))
+        out: list[int] = []
+        prev = 0
+        for h, ts in fibres[gen.dom]:
+            out += mapped[prev : h - 1]
+            v = col[h - 1]
+            out += [local.get((v, t_col[t - 1]), ren[v]) for t in ts]
+            prev = h
+        out += mapped[prev:]
+        columns[gen.name] = out
+    k = make_instance(schema, card, columns)
+    i_to_k = {
+        obj: [
+            pair_id[obj][match.comp[obj][v - 1], t]
+            for v, t in zip(l.comp[obj], t_i.eta.comp[obj])
+        ]
+        for obj in schema.objects
+    }
+    return Transformation(l.dom, k, i_to_k), Transformation(k, g, k_to_g)
+
+
+def _reaching(match: Transformation) -> dict[str, list[int]]:
+    """Per object, the ascending parts of G from which a path reaches the match.
+
+    One pass sinks first on an acyclic schema: a part is in when it is
+    matched or some column sends it to a part already in.
+    """
+    g = match.cod
+    near: dict[str, set[int]] = {}
+    for c in g.schema.sources_first[::-1]:
+        parts = set(match.comp[c])
+        for gen in g.schema.outgoing(c):
+            parts.update(i + 1 for i in _preimages(g.column[gen.name], near[gen.cod]))
+        near[c] = parts
+    return {c: sorted(parts) for c, parts in near.items()}

@@ -79,6 +79,13 @@ class CSetInstance:
         """Per generator, the ascending preimage list of each codomain part."""
         return build_index(self)
 
+    @cached_property
+    def classifier(self):
+        """The partial map classifier T(self), a `colimits.Classifier`."""
+        from .colimits import Classifier
+
+        return Classifier(self)
+
     def parts(self, obj: str) -> range:
         return range(1, self.card[obj] + 1)
 

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from csetrw.colimits import (
+    Classifier,
     DanglingViolation,
     Diagram,
     IdentificationViolation,
     _quotient,
     check_pushout_complement,
+    classifier_map,
     coproduct,
     diagram_colimit,
     final_pullback_complement,
@@ -20,6 +22,7 @@ from csetrw.colimits import (
 )
 from csetrw.errors import ComplementViolationsError, CyclicSchemaError, NotMonicError
 from csetrw.instance import empty_instance, make_instance, restrict, validate_instance
+from csetrw.mesh import gen_mesh
 from csetrw.schema import Generator, SchemaPresentation
 from csetrw.search import is_isomorphic
 from csetrw.transform import Transformation, factor_through, identity, is_natural
@@ -336,6 +339,71 @@ def test_fpc_square_is_pullback_randomized():
         assert l.compose(m) == k.compose(n)
         assert is_pullback_square(m, n, l, k)
         done += 1
+
+
+def classifier_fpc(l, m):
+    """The FPC as the classifier construction states it: χ pulled back along T(l)."""
+    t_l, t_i = partial_map_classifier(l.cod), partial_map_classifier(l.dom)
+    pb = pullback(t_l.classify_partial(m, identity(l.cod)), classifier_map(t_i, t_l, l))
+    return pb.universal(l.compose(m), t_i.eta), pb.p1
+
+
+def fpc_record(i_to_k, k_to_g):
+    assert i_to_k.cod is k_to_g.dom
+    return k_to_g.dom.card, k_to_g.dom.column, i_to_k.comp, k_to_g.comp
+
+
+def test_fpc_agrees_with_classifier_pullback():
+    rng = random.Random(47)
+    seen = {"monic l": 0, "non-monic l": 0, "dangling": 0, "no dangling": 0}
+    for _ in range(300):
+        schema = random_acyclic_schema(rng)
+        g = random_instance(rng, schema, max_parts=4)
+        lhs_parts = random_closed_parts(rng, g, keep_probability=0.4)
+        lhs = subinstance(g, lhs_parts)
+        legs = brute_homs(random_instance(rng, schema, max_parts=2), lhs) if rng.random() < 0.3 else []
+        if legs:
+            l = rng.choice(legs)
+        else:  # one subobject of L, or two side by side: L's parts in both are cloned
+            subs = [random_closed_parts(rng, lhs, keep_probability=0.5) for _ in range(rng.randint(1, 2))]
+            interface, _ = coproduct([subinstance(lhs, parts) for parts in subs])
+            l = Transformation(interface, lhs, {o: [p for parts in subs for p in sorted(parts[o])] for o in schema.objects})
+        # a disjoint padding, before or after G, that no path joins to the match
+        summands = [g, random_instance(rng, schema, max_parts=3)]
+        if rng.random() < 0.5:
+            summands.reverse()
+        host, injections = coproduct(summands)
+        in_g = Transformation(lhs, g, {o: sorted(lhs_parts[o]) for o in schema.objects})
+        m = in_g.compose(injections[summands.index(g)])
+        assert fpc_record(*final_pullback_complement(l, m)) == fpc_record(*classifier_fpc(l, m))
+        seen["monic l" if l.is_monic() else "non-monic l"] += 1
+        doomed = {o: {m.comp[o][p - 1] for p in lhs.parts(o)} - {m.comp[o][p - 1] for p in l.comp[o]} for o in schema.objects}
+        dangling = any(
+            host.column[gen.name][q - 1] in doomed[gen.cod]
+            for gen in schema.generators
+            for q in set(host.parts(gen.dom)) - set(m.comp[gen.dom])
+        )
+        seen["dangling" if dangling else "no dangling"] += 1
+    assert min(seen.values()) > 30, seen
+
+
+def test_fpc_agrees_with_classifier_pullback_on_mesh_clones(d2):
+    one, two = make_instance(d2, {"V": 1}, {}), make_instance(d2, {"V": 2}, {})
+    clone = Transformation(two, one, {"V": [1, 1]})
+    mesh = gen_mesh(16, 16)
+    for v in mesh.parts("V"):
+        m = Transformation(one, mesh, {"V": [v]})
+        assert fpc_record(*final_pullback_complement(clone, m)) == fpc_record(*classifier_fpc(clone, m))
+
+
+def test_fpc_checks_endpoints_before_classifying(graph, monkeypatch):
+    built = []
+    monkeypatch.setattr(Classifier, "__init__", lambda self, x: built.append(x))
+    a = make_instance(graph, {"V": 2}, {})
+    b = make_instance(graph, {"V": 3}, {})
+    with pytest.raises(ValueError, match="rule leg"):
+        final_pullback_complement(identity(a), Transformation(b, b, {"V": [1, 2, 3]}))
+    assert built == []
 
 
 def test_pushout_universal_randomized():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from csetrw.colimits import check_pushout_complement
-from csetrw.errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
+from csetrw.colimits import Classifier, check_pushout_complement
+from csetrw.errors import ComplementViolationsError, CyclicSchemaError, MatchNotNaturalError, NotMonicError
 from csetrw.instance import (
     check_discrete_opfibration,
     elements,
@@ -14,8 +16,10 @@ from csetrw.instance import (
     validate_instance,
 )
 from csetrw.instance import MissingEdge, MultipleEdges
+from csetrw.jsonio import Workspace, parse_rule
 from csetrw.mesh import flip_rule, gen_mesh, quad_pattern_flipped
 from csetrw.rewrite import DPO, SPO, SQPO, Rule, find_and_rewrite, rewrite_dpo, rewrite_spo, rewrite_sqpo
+from csetrw.schema import Generator, SchemaPresentation
 from csetrw.search import SearchOptions, homomorphisms, is_isomorphic
 from csetrw.transform import Transformation, identity, is_natural
 
@@ -173,6 +177,50 @@ def test_sqpo_copies_context_of_duplicated_vertex(d2, triangle):
     out = rewrite_sqpo(rule, Transformation(lhs, triangle, {"V": [1]}))
     assert out.result.card == {"V": 4, "E": 5, "T": 2}
     assert validate_instance(out.result) == []
+
+
+@pytest.fixture()
+def classifier_builds(monkeypatch):
+    """The instances a Classifier is constructed for, in order."""
+    built = []
+    init = Classifier.__init__
+
+    def counting(self, x):
+        built.append(x)
+        init(self, x)
+
+    monkeypatch.setattr(Classifier, "__init__", counting)
+    return built
+
+
+def test_sqpo_builds_each_classifier_once_per_rule(d2, triangle, classifier_builds):
+    lhs = make_instance(d2, {"V": 1}, {})
+    interface = make_instance(d2, {"V": 2}, {})
+    rule = Rule(Transformation(interface, lhs, {"V": [1, 1]}), identity(interface), kind=SQPO)
+    for v in (1, 2):
+        rewrite_sqpo(rule, Transformation(lhs, triangle, {"V": [v]}))
+    assert len(classifier_builds) == 2
+    assert classifier_builds[0] is lhs and classifier_builds[1] is interface
+
+
+def test_parsing_and_constructing_build_no_classifier(d2, classifier_builds):
+    fixtures = Path(__file__).parent / "fixtures"
+    ws = Workspace()
+    ws.load(fixtures / "d2.json")
+    parse_rule(json.loads((fixtures / "flip_rule.json").read_text()), ws.resolve)
+    make_instance(d2, {"V": 3, "E": 1}, {"src": [1], "tgt": [2]})
+    gen_mesh(2, 2)
+    assert classifier_builds == []
+
+
+def test_sqpo_on_cyclic_schema_fails_on_every_call(classifier_builds):
+    loop = SchemaPresentation(["X"], [Generator("f", "X", "X")])
+    x = make_instance(loop, {"X": 1}, {"f": [1]})
+    rule = Rule(identity(x), identity(x), kind=SQPO)
+    for _ in range(2):
+        with pytest.raises(CyclicSchemaError):
+            rewrite_sqpo(rule, identity(x))
+    assert len(classifier_builds) == 2
 
 
 def test_find_and_rewrite_counts(two_triangles):

@@ -10,7 +10,9 @@ homomorphisms (plain, monic, pinned, limited), `is_isomorphic`, pushouts,
 pullbacks, `restrict`, pushout complements and their refusals, `rewrite`
 and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
 that feed each result back as the next host, the partial map
-classifier, `diagram_colimit` with `coproduct`, and `open_rewrite`.
+classifier, `diagram_colimit` with `coproduct`, and `open_rewrite`. The
+SqPO and chain hosts carry a disjoint random padding, so that they have
+parts outside the match's neighbourhood.
 
 Every case gives one canonical JSON record: the input instances, the
 instances the library built, the maps between them and any other data
@@ -224,14 +226,24 @@ def case_restrict(rng):
     return rec
 
 
-def _random_rule(rng, kind):
+def _random_rule(rng, kind, pad=False):
+    """A random rule, a match and its host.
+
+    With `pad` the host is G plus a disjoint random instance, in random
+    order, so that it has parts no path joins to the match.
+    """
     from oracles import random_acyclic_schema, random_instance
 
-    from csetrw import Rule, identity
+    from csetrw import Rule, coproduct, identity
 
     schema = random_acyclic_schema(rng)
     g = random_instance(rng, schema, max_parts=3)
     lhs, match = _sub(rng, g, 0.4)
+    if pad:
+        summands = [g, random_instance(rng, schema, max_parts=3)]
+        first = rng.random() < 0.5
+        g, injections = coproduct(summands if first else summands[::-1])
+        match = match.compose(injections[0 if first else 1])
     if kind == "sqpo" and rng.random() < 0.6:
         interface = _small(rng, schema, 4, max_parts=2)
         l = _some_hom(rng, interface, lhs)
@@ -247,7 +259,7 @@ def _random_rule(rng, kind):
 def case_rewrite(rng, kind):
     from csetrw import find_and_rewrite, rewrite
 
-    rule, match, g = _random_rule(rng, kind)
+    rule, match, g = _random_rule(rng, kind, pad=kind == "sqpo")
     rec = Record(g.schema)
     for name, x in (("L", rule.lhs), ("I", rule.interface), ("R", rule.rhs), ("G", g)):
         rec.fix(name, x)
@@ -276,7 +288,7 @@ def case_chain(rng):
     """
     from csetrw import ComplementViolationsError, Rule, SearchOptions, homomorphisms, rewrite
 
-    base, _, g = _random_rule(rng, "dpo")
+    base, _, g = _random_rule(rng, "dpo", pad=True)
     rec = Record(g.schema)
     for name, x in (("L", base.lhs), ("I", base.interface), ("R", base.rhs), ("G", g)):
         rec.fix(name, x)
