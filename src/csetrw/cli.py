@@ -39,7 +39,6 @@ from .jsonio import (
 from .mesh import gen_mesh
 from .open_systems import compose_cospans, diagram_colimit
 from .rewrite import KINDS, find_and_rewrite, rewrite
-from .schema import validate_schema
 from .search import SearchOptions, homomorphisms
 
 EXIT_OK = 0
@@ -69,7 +68,7 @@ def cmd_validate(args) -> int:
         loaded.append((path, *ws.load(path)[1:]))
     for path, kind, obj in loaded:
         if kind == "schema":
-            violations = validate_schema(ws.resolve(Path(path).stem))
+            violations = ws.schema_violations[Path(path).stem]
         elif kind == "instance":
             try:
                 parse_instance(obj, ws.resolve)

@@ -17,11 +17,12 @@ check walks B, and the dangling check and the restriction to D visit
 only the column entries that point at deleted or moved parts.
 
 A final pullback complement reads only the match's upward closure, the
-parts of G from which some path reaches the match: only they classify
-as more than the empty partial map, so only they are classified, split
-or dropped, and every other part of G is carried over by a renumbering
-of whole column runs. T(X) is built on first use and kept on X, like
-the preimage index, so a rule's T(L) and T(I) are built once.
+parts of G from which some path reaches the match, found by the
+`deletion_closure` that SPO uses: only they classify as more than the
+empty partial map, so only they are classified, split or dropped, and
+every other part of G is carried over by a renumbering of whole column
+runs. T(X) is built on first use and kept on X, like the preimage
+index, so a rule's T(L) and T(I) are built once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ComplementViolationsError, NotMonicError
-from .instance import CSetInstance, make_instance, _preimages, _restrict_removing
+from .instance import CSetInstance, deletion_closure, make_instance, _preimages, _restrict_removing
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
 from .transform import Transformation, identity, is_natural
@@ -603,7 +604,7 @@ def final_pullback_complement(
     t_l, t_i = partial_map_classifier(l.cod), partial_map_classifier(l.dom)
     g = match.cod
     schema = g.schema
-    near = _reaching(match)
+    near = deletion_closure(g, {d: set(match.comp[d]) for d in schema.objects})
     t_of_l = classifier_map(t_i, t_l, l)
     partial = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
     card: dict[str, int] = {}
@@ -615,7 +616,7 @@ def final_pullback_complement(
         over: dict[int, list[int]] = {}
         for t, image in enumerate(t_of_l.comp[c], start=1):
             over.setdefault(image, []).append(t)
-        fibres[c] = [(h, over.get(t_l._classify(g, partial, c, h), [])) for h in near[c]]
+        fibres[c] = [(h, over.get(t_l._classify(g, partial, c, h), [])) for h in sorted(near[c])]
         ren, back, local = [0], [], {}
         shift = prev = 0
         for h, ts in fibres[c]:
@@ -655,19 +656,3 @@ def final_pullback_complement(
         for obj in schema.objects
     }
     return Transformation(l.dom, k, i_to_k), Transformation(k, g, k_to_g)
-
-
-def _reaching(match: Transformation) -> dict[str, list[int]]:
-    """Per object, the ascending parts of G from which a path reaches the match.
-
-    One pass sinks first on an acyclic schema: a part is in when it is
-    matched or some column sends it to a part already in.
-    """
-    g = match.cod
-    near: dict[str, set[int]] = {}
-    for c in g.schema.sources_first[::-1]:
-        parts = set(match.comp[c])
-        for gen in g.schema.outgoing(c):
-            parts.update(i + 1 for i in _preimages(g.column[gen.name], near[gen.cod]))
-        near[c] = parts
-    return {c: sorted(parts) for c, parts in near.items()}

@@ -3,7 +3,9 @@
 Parts of each object are the integers 1..card; every generator is one
 total column of codomain part ids. The preimage index is built on first
 use and cached on the instance, so incidence queries cost O(answer) and
-instances nobody searches or walks backwards never pay for it.
+instances nobody searches or walks backwards never pay for it. Search and
+`incident` read it; `deletion_closure`, the one upward closure behind SPO
+and final pullback complements, reads it only on a cyclic schema.
 `restrict` is the one subinstance constructor; it numbers the kept parts
 swap-last, as deletion in place would.
 
@@ -268,6 +270,40 @@ def _preimages(col: list[int], targets: set[int]) -> list[int]:
     if not targets or targets.isdisjoint(col):
         return []
     return list(compress(range(len(col)), map(targets.__contains__, col)))
+
+
+def deletion_closure(x: CSetInstance, core: dict[str, set[int]]) -> dict[str, set[int]]:
+    """The parts of x from which some path of columns reaches `core`.
+
+    Objects are visited sinks first, and each column is scanned once with
+    `_preimages` after its codomain is settled. A generator on a cycle of
+    the schema is followed through the preimage index in a worklist
+    instead, so no index is built on an acyclic schema. Raises
+    PartOutOfRangeError for a core part outside 1..card.
+    """
+    schema = x.schema
+    closed = {obj: set(core.get(obj, ())) for obj in schema.objects}
+    for obj, parts in closed.items():
+        if parts and not 1 <= min(parts) <= max(parts) <= x.card[obj]:
+            bad = min(parts) if min(parts) < 1 else max(parts)
+            raise PartOutOfRangeError(f"part {bad} outside 1..{x.card[obj]} for {obj!r}")
+    loops = [gen for gen in schema.generators if schema.on_cycle(gen)]
+    for c in schema.sources_first[::-1]:
+        for gen in schema.outgoing(c):
+            if gen not in loops:
+                closed[c].update(i + 1 for i in _preimages(x.column[gen.name], closed[gen.cod]))
+        if not any(gen.cod == c for gen in loops):
+            continue
+        work = [(c, part) for part in closed[c]]  # each part is expanded at most twice
+        while work:
+            obj, part = work.pop()
+            for gen in loops:
+                if gen.cod == obj:
+                    for pre in x.index[gen.name][part - 1]:
+                        if pre not in closed[gen.dom]:
+                            closed[gen.dom].add(pre)
+                            work.append((gen.dom, pre))
+    return closed
 
 
 def schema_graph(schema: SchemaPresentation) -> CSetInstance:

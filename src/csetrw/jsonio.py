@@ -5,6 +5,8 @@ Dumping is canonical so that parse/dump round trips are byte-exact.
 Parsing checks every field's JSON type: names are strings, cardinalities
 are integers and columns and components are lists of integers (booleans
 and floats are refused), so an ill-typed document raises ParseError.
+So does an instance over a schema that fails `validate_schema`; each
+schema is validated once, where it is loaded or parsed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import ParseError, UnknownReferenceError
 from .instance import CSetInstance, make_instance
 from .open_systems import Diagram, StructuredCospan
 from .rewrite import KINDS, Rule
-from .schema import Generator, SchemaPath, SchemaPresentation
+from .schema import Generator, SchemaPath, SchemaPresentation, validate_schema
 from .transform import Transformation
 
 Resolver = Callable[[str], SchemaPresentation]
@@ -94,6 +96,12 @@ def parse_schema(obj) -> SchemaPresentation:
     return SchemaPresentation(list(objects), generators, equations)
 
 
+def _refuse_ill_formed(what: str, violations: list[str]) -> None:
+    """An instance cannot be read over a schema that violates its invariants."""
+    if violations:
+        raise ParseError(f"{what} is ill-formed: {'; '.join(violations)}")
+
+
 def instance_to_obj(x: CSetInstance, schema_ref: str | None = None) -> dict:
     return {
         "schema": schema_ref if schema_ref is not None else schema_to_obj(x.schema),
@@ -110,6 +118,7 @@ def parse_instance(obj, resolver: Resolver | None = None) -> CSetInstance:
         schema = resolver(ref)
     else:
         schema = parse_schema(ref)
+        _refuse_ill_formed("an inline schema", validate_schema(schema))
     card = _require(obj, "card", "instance", dict)
     if not _INT.issuperset(map(type, card.values())):
         raise ParseError("instance cardinalities must be integers")
@@ -225,19 +234,23 @@ class Workspace:
 
     def __init__(self):
         self.schemas: dict[str, SchemaPresentation] = {}
+        self.schema_violations: dict[str, list[str]] = {}  # found once, at load
         self.raw: dict[str, tuple[str, object]] = {}
 
     def resolve(self, name: str) -> SchemaPresentation:
+        """The schema loaded as `name`; ParseError if it is ill-formed."""
         if name not in self.schemas:
             raise UnknownReferenceError(name)
+        _refuse_ill_formed(f"schema {name!r}", self.schema_violations.get(name, []))
         return self.schemas[name]
 
     def load(self, path: str | Path) -> tuple[str, str, object]:
         """Parse one file; returns (name, kind, raw JSON object).
 
-        Schemas are registered immediately so later files can reference
-        them by name; other payloads stay raw until interpreted, because
-        instance parsing may need schemas from files not yet seen.
+        Schemas are registered and validated immediately so later files
+        can reference them by name; other payloads stay raw until
+        interpreted, because instance parsing may need schemas from files
+        not yet seen.
         """
         path = Path(path)
         try:
@@ -248,5 +261,6 @@ class Workspace:
         name = path.stem
         if kind == "schema":
             self.schemas[name] = parse_schema(obj)
+            self.schema_violations[name] = validate_schema(self.schemas[name])
         self.raw[name] = (kind, obj)
         return name, kind, obj

@@ -1,8 +1,11 @@
 """DPO, SPO and SqPO rewriting of C-set instances.
 
 A rule is a span L <-l- I -r-> R. DPO deletes exactly what the rule
-names and refuses otherwise; SPO cascades deletions through the columns;
-SqPO additionally copies context when l identifies parts.
+names and refuses otherwise; SPO cascades deletions to every part with
+a path of columns into a deleted part; SqPO copies context when l
+identifies parts, working only on the parts with a path into the match.
+Both find those parts with `instance.deletion_closure`, so no step
+builds a preimage index on an acyclic schema.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .colimits import _into_restriction, final_pullback_complement, pushout, pushout_complement
 from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
-from .instance import CSetInstance, _restrict_removing
+from .instance import CSetInstance, _restrict_removing, deletion_closure
 from .search import SearchOptions, homomorphisms
 from .transform import Transformation, factor_through, is_natural
 
@@ -89,27 +92,6 @@ def rewrite_dpo(rule: Rule, match: Transformation) -> RewriteOutcome:
     return _push_out_rhs(rule, match, *pushout_complement(rule.l, match))
 
 
-def deletion_closure(g: CSetInstance, core: dict[str, set[int]]) -> dict[str, set[int]]:
-    """Parts whose survival would leave some column dangling.
-
-    Starts from the explicitly deleted core and walks preimages until a
-    fixpoint: whenever a part is deleted, so is everything that maps onto
-    it through any column.
-    """
-    deleted = {obj: set(core.get(obj, ())) for obj in g.schema.objects}
-    work = [(obj, part) for obj, parts in deleted.items() for part in parts]
-    while work:
-        obj, part = work.pop()
-        for gen in g.schema.generators:
-            if gen.cod != obj:
-                continue
-            for pre in g.index[gen.name][part - 1]:
-                if pre not in deleted[gen.dom]:
-                    deleted[gen.dom].add(pre)
-                    work.append((gen.dom, pre))
-    return deleted
-
-
 def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
     """Single pushout step in the category of partial maps.
 
@@ -127,43 +109,28 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
     g = match.cod
     schema = g.schema
     interface = rule.interface
-    kept_interface = {obj: rule.l.image(obj) for obj in schema.objects}
     core = {
-        obj: {
-            match.comp[obj][p - 1]
-            for p in rule.lhs.parts(obj)
-            if p not in kept_interface[obj]
-        }
+        obj: {match.comp[obj][p - 1] for p in set(rule.lhs.parts(obj)) - rule.l.image(obj)}
         for obj in schema.objects
     }
 
     def host_image(obj: str, i: int) -> int:
         return match.comp[obj][rule.l.comp[obj][i - 1] - 1]
 
-    dead_i: dict[str, set[int]] = {obj: set() for obj in schema.objects}
-    while True:
-        seeds = {
-            obj: core[obj] | {host_image(obj, i) for i in dead_i[obj]}
-            for obj in schema.objects
-        }
-        dead_g = deletion_closure(g, seeds)
-        new_dead = {
-            obj: {i for i in interface.parts(obj) if host_image(obj, i) in dead_g[obj]}
-            for obj in schema.objects
-        }
-        while True:  # deadness spreads through identifications made by r
-            grew = False
-            for obj in schema.objects:
-                dead_values = {rule.r.comp[obj][i - 1] for i in new_dead[obj]}
-                for i in interface.parts(obj):
-                    if i not in new_dead[obj] and rule.r.comp[obj][i - 1] in dead_values:
-                        new_dead[obj].add(i)
-                        grew = True
-            if not grew:
-                break
-        if new_dead == dead_i:
-            break
-        dead_i = new_dead
+    groups: dict[tuple[str, int], set[int]] = {}  # host images of I-parts sharing an r-image
+    for obj in schema.objects:
+        for i, v in enumerate(rule.r.comp[obj], start=1):
+            groups.setdefault((obj, v), set()).add(host_image(obj, i))
+    dead_g = deletion_closure(g, core)
+    # deadness spreads through identifications made by r
+    while partly := [(o, hs) for (o, _), hs in groups.items() if 0 < len(hs & dead_g[o]) < len(hs)]:
+        for o, hs in partly:
+            dead_g[o] |= hs
+        dead_g = deletion_closure(g, dead_g)
+    dead_i = {
+        obj: {i for i in interface.parts(obj) if host_image(obj, i) in dead_g[obj]}
+        for obj in schema.objects
+    }
 
     k, k_to_g, moved = _restrict_removing(g, dead_g)
     dead_r = deletion_closure(

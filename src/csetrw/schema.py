@@ -83,16 +83,25 @@ class SchemaPresentation:
         sources first. Ties keep declaration order. Computed on first
         use, like `incoming`, so that parsing a schema does not pay for it.
         """
-        return sorted(self.objects, key=lambda o: -self._reach_count(o))
+        return sorted(self.objects, key=lambda o: -self._reach[o])
 
-    def _reach_count(self, obj: str) -> int:
-        seen, todo = {obj}, [obj]
-        for cur in todo:
-            for gen in self._outgoing.get(cur, ()):
-                if gen.cod not in seen:
-                    seen.add(gen.cod)
-                    todo.append(gen.cod)
-        return len(seen)
+    def on_cycle(self, gen: Generator) -> bool:
+        """Whether gen's codomain reaches its domain: both then reach as many objects."""
+        return self._reach[gen.dom] == self._reach[gen.cod]
+
+    @cached_property
+    def _reach(self) -> dict[str, int]:
+        """How many objects each object reaches along generators, itself included."""
+        count = {}
+        for obj in self.objects:
+            seen, todo = {obj}, [obj]
+            for cur in todo:
+                for gen in self._outgoing.get(cur, ()):
+                    if gen.cod not in seen:
+                        seen.add(gen.cod)
+                        todo.append(gen.cod)
+            count[obj] = len(seen)
+        return count
 
     def __eq__(self, other):
         if not isinstance(other, SchemaPresentation):
@@ -158,20 +167,7 @@ def validate_schema(schema: SchemaPresentation) -> list[str]:
 
 def is_acyclic(schema: SchemaPresentation) -> bool:
     """True iff the generator graph on objects has no directed cycle."""
-    color = {o: 0 for o in schema.objects}  # 0 new, 1 active, 2 done
-
-    def visit(obj: str) -> bool:
-        color[obj] = 1
-        for gen in schema.outgoing(obj):
-            nxt = gen.cod
-            if color[nxt] == 1:
-                return False
-            if color[nxt] == 0 and not visit(nxt):
-                return False
-        color[obj] = 2
-        return True
-
-    return all(color[o] != 0 or visit(o) for o in schema.objects)
+    return not any(map(schema.on_cycle, schema.generators))
 
 
 class PathUniverse:

@@ -172,6 +172,24 @@ def random_acyclic_schema(rng, max_objects: int = 3, max_gens: int = 3) -> Schem
     return SchemaPresentation(objects, gens)
 
 
+def loop_graph_schema() -> SchemaPresentation:
+    """Graphs whose edges each name a next edge: `next: E -> E` is a loop."""
+    return SchemaPresentation(
+        ["V", "E"],
+        [Generator("src", "E", "V"), Generator("tgt", "E", "V"), Generator("next", "E", "E")],
+    )
+
+
+def random_cyclic_schema(rng) -> SchemaPresentation:
+    """Graph schemas with a self-map on edges, or two objects mapping to each other."""
+    if rng.random() < 0.5:
+        return loop_graph_schema()
+    return SchemaPresentation(
+        ["A", "B", "C"],
+        [Generator("f", "A", "B"), Generator("g", "B", "A"), Generator("h", "C", "A")],
+    )
+
+
 def random_instance(rng, schema: SchemaPresentation, max_parts: int = 3, min_parts: int = 0) -> CSetInstance:
     card = {o: rng.randint(min_parts, max_parts) for o in schema.objects}
     changed = True

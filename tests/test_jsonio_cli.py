@@ -496,6 +496,12 @@ def test_cli_truncated_documents_exit_2(kind, tmp_path, capsys):
         assert err.startswith("error: ")
 
 
+ILL_FORMED_SCHEMA = {
+    "objects": ["V", "E"],
+    "generators": [{"name": "src", "dom": "E", "cod": "W"}, {"name": "tgt", "dom": "E", "cod": "V"}],
+}
+
+
 @pytest.mark.parametrize(
     "kind, path, value",
     [
@@ -507,9 +513,32 @@ def test_cli_truncated_documents_exit_2(kind, tmp_path, capsys):
         ("instance", ("columns", "src", 0), True),
         ("transformation", ("comp", "V", 0), 1.5),
         ("transformation", ("comp", "X"), [1]),
+        ("instance", ("schema",), ILL_FORMED_SCHEMA),
     ],
 )
 def test_cli_named_ill_typed_inputs_exit_2(kind, path, value, tmp_path, capsys):
     doc = _replaced(load(DOCUMENT_COMMANDS[kind][0]), path, value)
     code, err = _run_mutated(tmp_path, kind, jsonio.dumps(doc), capsys)
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "homs"])
+def test_cli_instance_over_ill_formed_named_schema_exits_2(command, tmp_path, capsys):
+    schema = tmp_path / "s.json"
+    schema.write_text(jsonio.dumps(ILL_FORMED_SCHEMA))
+    doc = {"schema": "s", "card": {"V": 1, "E": 1}, "columns": {"src": [1], "tgt": [1]}}
+    inst = tmp_path / "i.json"
+    inst.write_text(jsonio.dumps(doc))
+    args = [str(inst)] if command == "validate" else [str(inst), str(inst)]
+    code = main([command, *args, "--schema", str(schema)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown codomain 'W'" in err
+
+
+def test_cli_validate_still_reports_an_ill_formed_schema(tmp_path, capsys):
+    schema = tmp_path / "s.json"
+    schema.write_text(jsonio.dumps(ILL_FORMED_SCHEMA))
+    assert main(["validate", str(schema)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID (schema)" in out and "unknown codomain 'W'" in out

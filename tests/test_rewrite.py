@@ -6,10 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from csetrw.colimits import Classifier, check_pushout_complement
-from csetrw.errors import ComplementViolationsError, CyclicSchemaError, MatchNotNaturalError, NotMonicError
+from csetrw import instance as instance_module
+from csetrw.colimits import Classifier, _into_restriction, check_pushout_complement, pushout
+from csetrw.errors import (
+    ComplementViolationsError,
+    CyclicSchemaError,
+    MatchNotNaturalError,
+    NotMonicError,
+    PartOutOfRangeError,
+)
 from csetrw.instance import (
+    _restrict_removing,
     check_discrete_opfibration,
+    deletion_closure,
     elements,
     empty_instance,
     make_instance,
@@ -18,15 +27,28 @@ from csetrw.instance import (
 from csetrw.instance import MissingEdge, MultipleEdges
 from csetrw.jsonio import Workspace, parse_rule
 from csetrw.mesh import flip_rule, gen_mesh, quad_pattern_flipped
-from csetrw.rewrite import DPO, SPO, SQPO, Rule, find_and_rewrite, rewrite_dpo, rewrite_spo, rewrite_sqpo
+from csetrw.rewrite import (
+    DPO,
+    SPO,
+    SQPO,
+    RewriteOutcome,
+    Rule,
+    find_and_rewrite,
+    rewrite,
+    rewrite_dpo,
+    rewrite_spo,
+    rewrite_sqpo,
+)
 from csetrw.schema import Generator, SchemaPresentation
 from csetrw.search import SearchOptions, homomorphisms, is_isomorphic
-from csetrw.transform import Transformation, identity, is_natural
+from csetrw.transform import Transformation, factor_through, identity, is_natural
 
 from oracles import (
     brute_homs,
+    loop_graph_schema,
     random_acyclic_schema,
     random_closed_parts,
+    random_cyclic_schema,
     random_instance,
     subinstance,
     typed_graph_minus,
@@ -157,6 +179,185 @@ def test_spo_agrees_with_dpo_when_applicable(two_triangles):
         a = rewrite_dpo(rule, match)
         b = rewrite_spo(spo_rule, match)
         assert is_isomorphic(a.result, b.result) is not None
+
+
+# ---------------------------------------------------------------------------
+# The one deletion closure, against the preimage-index worklist and the
+# nested SPO fixpoint it replaced
+
+
+def reference_closure(x, core):
+    """Every part with a path of columns into `core`, by a preimage-index worklist."""
+    closed = {obj: set(core.get(obj, ())) for obj in x.schema.objects}
+    work = [(obj, part) for obj, parts in closed.items() for part in parts]
+    while work:
+        obj, part = work.pop()
+        for gen in x.schema.generators:
+            if gen.cod == obj:
+                for pre in x.index[gen.name][part - 1]:
+                    if pre not in closed[gen.dom]:
+                        closed[gen.dom].add(pre)
+                        work.append((gen.dom, pre))
+    return closed
+
+
+def reference_spo(rule, match):
+    """SPO with its dead parts found by two nested fixpoints.
+
+    The outer one closes the core plus the host images of dead interface
+    parts; the inner one spreads deadness through r's identifications.
+    Returns the outcome and whether r spread deadness beyond the closure
+    of the core.
+    """
+    g, interface = match.cod, rule.interface
+    objects = g.schema.objects
+    core = {
+        obj: {match.comp[obj][p - 1] for p in rule.lhs.parts(obj) if p not in rule.l.image(obj)}
+        for obj in objects
+    }
+
+    def host_image(obj, i):
+        return match.comp[obj][rule.l.comp[obj][i - 1] - 1]
+
+    dead_i = {obj: set() for obj in objects}
+    while True:
+        seeds = {obj: core[obj] | {host_image(obj, i) for i in dead_i[obj]} for obj in objects}
+        dead_g = reference_closure(g, seeds)
+        new_dead = {
+            obj: {i for i in interface.parts(obj) if host_image(obj, i) in dead_g[obj]}
+            for obj in objects
+        }
+        while True:
+            grew = False
+            for obj in objects:
+                dead_values = {rule.r.comp[obj][i - 1] for i in new_dead[obj]}
+                for i in interface.parts(obj):
+                    if i not in new_dead[obj] and rule.r.comp[obj][i - 1] in dead_values:
+                        new_dead[obj].add(i)
+                        grew = True
+            if not grew:
+                break
+        if new_dead == dead_i:
+            break
+        dead_i = new_dead
+    k, k_to_g, moved = _restrict_removing(g, dead_g)
+    dead_r = reference_closure(
+        rule.rhs, {obj: {rule.r.comp[obj][i - 1] for i in dead_i[obj]} for obj in objects}
+    )
+    _, r_kept, _ = _restrict_removing(rule.rhs, dead_r)
+    _, j_to_i, _ = _restrict_removing(interface, dead_i)
+    j_to_r = factor_through(j_to_i.compose(rule.r), r_kept)
+    j_to_k = _into_restriction(j_to_i.compose(rule.l).compose(match), k_to_g, moved)
+    po = pushout(j_to_r, j_to_k)
+    maps = {
+        "match": match,
+        "interface_to_i": j_to_i,
+        "interface_to_k": j_to_k,
+        "k_to_g": k_to_g,
+        "r_kept": r_kept,
+        "r_to_result": po.leg_b,
+        "k_to_result": po.leg_c,
+    }
+    return RewriteOutcome(po.apex, k, maps), dead_g != reference_closure(g, core)
+
+
+def test_deletion_closure_agrees_with_index_worklist():
+    rng = random.Random(59)
+    for case in range(400):
+        schema = random_cyclic_schema(rng) if case % 2 else random_acyclic_schema(rng)
+        x = random_instance(rng, schema, max_parts=5)
+        core = {o: {p for p in x.parts(o) if rng.random() < 0.2} for o in schema.objects}
+        assert deletion_closure(x, core) == reference_closure(x, core)
+
+
+def test_deletion_closure_follows_a_long_loop():
+    n = 100_000
+    x = make_instance(
+        loop_graph_schema(),
+        {"V": 1, "E": n},
+        {"src": [1] * n, "tgt": [1] * n, "next": list(range(2, n + 1)) + [n]},
+    )
+    closed = deletion_closure(x, {"E": {n}})
+    assert closed == {"V": set(), "E": set(range(1, n + 1))}
+
+
+@pytest.mark.parametrize("part", [0, -1, 4, 7])
+def test_deletion_closure_refuses_parts_out_of_range(graph, part):
+    path = make_instance(graph, {"V": 3, "E": 2}, {"src": [1, 2], "tgt": [2, 3]})
+    with pytest.raises(PartOutOfRangeError, match=rf"part {part} outside 1\.\.3 for 'V'"):
+        deletion_closure(path, {"V": {part}})
+
+
+def _random_spo_case(rng, schema):
+    """An SPO rule and a match that need not be monic, or None if L has none.
+
+    r often maps into the terminal instance, which identifies all of I's
+    parts of each object, so that deadness has something to spread over.
+    """
+    g = random_instance(rng, schema, max_parts=3)
+    lhs = random_instance(rng, schema, max_parts=3)
+    matches = homomorphisms(lhs, g)
+    if not matches:
+        return None
+    parts = random_closed_parts(rng, lhs, keep_probability=0.7)
+    interface = subinstance(lhs, parts)
+    l = Transformation(interface, lhs, {o: sorted(parts[o]) for o in schema.objects})
+    if rng.random() < 0.4:
+        rhs = make_instance(schema, dict.fromkeys(schema.objects, 1), {x.name: [1] for x in schema.generators})
+    else:
+        rhs = random_instance(rng, schema, max_parts=2)
+    rs = homomorphisms(interface, rhs)
+    r = rng.choice(rs) if rs and rng.random() < 0.8 else identity(interface)
+    return Rule(l, r, kind=SPO), rng.choice(matches)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_spo_agrees_with_nested_fixpoint_reference(cyclic):
+    rng = random.Random(61 + cyclic)
+    seen = {"non-monic match": 0, "non-monic r": 0, "r spreads deadness": 0}
+    done = 0
+    while done < 400:
+        schema = random_cyclic_schema(rng) if cyclic else random_acyclic_schema(rng)
+        case = _random_spo_case(rng, schema)
+        if case is None:
+            continue
+        rule, match = case
+        out, (ref, spread) = rewrite_spo(rule, match), reference_spo(rule, match)
+        assert (out.result, out.k, out.maps) == (ref.result, ref.k, ref.maps)
+        seen["non-monic match"] += not match.is_monic()
+        seen["non-monic r"] += not rule.r.is_monic()
+        seen["r spreads deadness"] += spread
+        done += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.fixture()
+def index_builds(monkeypatch):
+    """The instances a preimage index is built for, in order."""
+    built = []
+    build = instance_module.build_index
+
+    def counting(x):
+        built.append(x)
+        return build(x)
+
+    monkeypatch.setattr(instance_module, "build_index", counting)
+    return built
+
+
+@pytest.mark.parametrize("kind", [DPO, SPO, SQPO])
+def test_rewrite_at_a_match_builds_no_index_of_host_or_outputs(kind, index_builds):
+    mesh = gen_mesh(3, 3)
+    flip = flip_rule()
+    rule = Rule(flip.l, flip.r, kind=kind)
+    found = homomorphisms(rule.lhs, mesh, SearchOptions(monic=True))
+    host = make_instance(mesh.schema, mesh.card, mesh.column)  # no index cached yet
+    index_builds.clear()
+    for match in found:
+        out = rewrite(rule, Transformation(rule.lhs, host, match.comp))
+        ends = [out.result, out.k] + [x for t in out.maps.values() for x in (t.dom, t.cod)]
+        made = [host] + [x for x in ends if not any(x is y for y in (rule.lhs, rule.interface, rule.rhs))]
+        assert not [x for x in index_builds if any(x is y for y in made)]
 
 
 def test_sqpo_requires_monic_match(graph):

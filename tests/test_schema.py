@@ -57,6 +57,37 @@ def test_acyclicity(graph, d2):
     assert not is_acyclic(cycle)
 
 
+def _chain(n: int, closed: bool) -> SchemaPresentation:
+    objects = [f"O{i}" for i in range(n)]
+    gens = [Generator(f"g{i}", objects[i], objects[i + 1]) for i in range(n - 1)]
+    if closed:
+        gens.append(Generator("back", objects[-1], objects[0]))
+    return SchemaPresentation(objects, gens)
+
+
+def test_acyclicity_of_long_chains_needs_no_recursion():
+    assert is_acyclic(_chain(1200, closed=False))
+    assert not is_acyclic(_chain(1200, closed=True))
+
+
+def test_on_cycle_means_the_codomain_reaches_the_domain():
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        objects = [f"O{i}" for i in range(n)]
+        gens = [
+            Generator(f"g{k}", rng.choice(objects), rng.choice(objects))
+            for k in range(rng.randint(0, 6))
+        ]
+        s = SchemaPresentation(objects, gens)
+        reach = {o: {o} for o in objects}
+        for _ in objects:  # n rounds of relaxation reach every path
+            for g in gens:
+                reach[g.dom] |= reach[g.cod]
+        assert [s.on_cycle(g) for g in gens] == [g.dom in reach[g.cod] for g in gens]
+        assert is_acyclic(s) == (not any(g.dom in reach[g.cod] for g in gens))
+
+
 def test_hom_paths_graph_schema(graph):
     classes = hom_paths(graph, "E", "V")
     assert [cls[0].components for cls in classes] == [("src",), ("tgt",)]

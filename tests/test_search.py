@@ -9,11 +9,10 @@ import pytest
 from csetrw.errors import PartOutOfRangeError
 from csetrw.instance import empty_instance, make_instance
 from csetrw.mesh import gen_mesh, quad_pattern
-from csetrw.schema import Generator, SchemaPresentation
 from csetrw.search import SearchOptions, homomorphisms, is_isomorphic
 from csetrw.transform import Transformation, identity, is_natural
 
-from oracles import brute_homs, random_acyclic_schema, random_instance
+from oracles import brute_homs, random_acyclic_schema, random_cyclic_schema, random_instance
 
 
 @contextmanager
@@ -30,19 +29,6 @@ def within(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def random_cyclic_schema(rng) -> SchemaPresentation:
-    """Graph schemas with a self-map on edges, or two objects mapping to each other."""
-    if rng.random() < 0.5:
-        return SchemaPresentation(
-            ["V", "E"],
-            [Generator("src", "E", "V"), Generator("tgt", "E", "V"), Generator("next", "E", "E")],
-        )
-    return SchemaPresentation(
-        ["A", "B", "C"],
-        [Generator("f", "A", "B"), Generator("g", "B", "A"), Generator("h", "C", "A")],
-    )
 
 
 def test_is_natural_identity(small_graph):

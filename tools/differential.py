@@ -12,7 +12,9 @@ and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
 that feed each result back as the next host, the partial map
 classifier, `diagram_colimit` with `coproduct`, and `open_rewrite`. The
 SqPO and chain hosts carry a disjoint random padding, so that they have
-parts outside the match's neighbourhood.
+parts outside the match's neighbourhood. Half of the DPO and SPO rewrite
+cases are drawn over a schema with a loop `next: E -> E`, so that the
+deletion closure follows a generator on a cycle.
 
 Every case gives one canonical JSON record: the input instances, the
 instances the library built, the maps between them and any other data
@@ -226,17 +228,18 @@ def case_restrict(rng):
     return rec
 
 
-def _random_rule(rng, kind, pad=False):
+def _random_rule(rng, kind, pad=False, loop=False):
     """A random rule, a match and its host.
 
     With `pad` the host is G plus a disjoint random instance, in random
-    order, so that it has parts no path joins to the match.
+    order, so that it has parts no path joins to the match. With `loop`
+    the schema is the graph schema with a loop `next: E -> E`.
     """
-    from oracles import random_acyclic_schema, random_instance
+    from oracles import loop_graph_schema, random_acyclic_schema, random_instance
 
     from csetrw import Rule, coproduct, identity
 
-    schema = random_acyclic_schema(rng)
+    schema = loop_graph_schema() if loop else random_acyclic_schema(rng)
     g = random_instance(rng, schema, max_parts=3)
     lhs, match = _sub(rng, g, 0.4)
     if pad:
@@ -259,7 +262,8 @@ def _random_rule(rng, kind, pad=False):
 def case_rewrite(rng, kind):
     from csetrw import find_and_rewrite, rewrite
 
-    rule, match, g = _random_rule(rng, kind, pad=kind == "sqpo")
+    loop = kind in ("dpo", "spo") and rng.random() < 0.5
+    rule, match, g = _random_rule(rng, kind, pad=kind == "sqpo", loop=loop)
     rec = Record(g.schema)
     for name, x in (("L", rule.lhs), ("I", rule.interface), ("R", rule.rhs), ("G", g)):
         rec.fix(name, x)
