@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VIOLATIONS
-    except ValueError as exc:
+    except (ValueError, IndexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PARSE
     if argv is None:

@@ -4,9 +4,12 @@ Everything here reduces to finite-set constructions applied one object at
 a time. Pushouts, coproducts and diagram colimits share one quotient of a
 disjoint union by union-find: summands stack in order (B before C;
 diagram nodes in declaration order) and classes are numbered by their
-smallest part. Python-level work there is per glued pair; the class ids
-are built as runs of `range` between the slots that stopped being roots,
-and columns are pushed down per summand with `map` and joined by slices.
+smallest part, the numbering this module has always used. Python-level
+work there is one step per glued pair and one per node: an inline
+union-find with path halving over one flat list of slots, class ids laid
+down as runs of `range` between the slots that stopped being roots, and
+columns pushed down per summand with `map` and stripped of merged slots
+by one `compress`. Each output list is built once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages, and the partial map classifier decorates parts with
 subfunctors of representables. Columns always descend to the constructed
@@ -28,36 +31,14 @@ index, so a rule's T(L) and T(I) are built once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress
+from operator import attrgetter, itemgetter
 
 from .errors import ComplementViolationsError, NotMonicError
-from .instance import CSetInstance, deletion_closure, make_instance, _preimages, _restrict_removing
+from .instance import CSetInstance, _preimages, _restrict_removing, _validated, deletion_closure, make_instance
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
-from .transform import Transformation, identity, is_natural
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.merged: list[int] = []  # slots that stopped being roots
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # canonical representative: smallest slot
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.merged.append(rb)
+from .transform import Transformation, _adopt, identity, is_natural
 
 
 @dataclass
@@ -98,70 +79,76 @@ def cocone_induced(
 
 
 def _quotient(
-    summands: list[CSetInstance], glue: list[tuple[int, int, dict]]
+    summands: list[CSetInstance], glue: list[tuple[int, int, dict | None, dict]]
 ) -> tuple[CSetInstance, list[dict[str, list[int]]]]:
     """Quotient of the disjoint union of `summands`, one object at a time.
 
-    Each glue entry (i, j, pairs) identifies part p of summand i with part
-    q of summand j for every (p, q) in pairs[obj]. Parts stack in summand
-    order and classes are numbered densely by their smallest slot. Returns
-    the apex and, per summand, the class of each of its parts.
+    Each glue entry (i, j, f, g) identifies part f[obj][k] of summand i
+    with part g[obj][k] of summand j for every k; f None stands for part
+    k + 1 itself, so an arrow's components glue each part of i to its
+    image in j. Parts stack in summand order as slots 1..n and classes are
+    numbered densely by their smallest slot. Returns the apex and, per
+    summand, the class of each of its parts.
     """
     schema = summands[0].schema
-    if any(x.schema != schema for x in summands):
+    if list(map(attrgetter("schema"), summands)).count(schema) != len(summands):  # tries `is` first
         raise ValueError("colimit summands must share a schema")
-    offsets: list[dict[str, int]] = []
-    total = {obj: 0 for obj in schema.objects}
-    for x in summands:
-        offsets.append(dict(total))
-        for obj in schema.objects:
-            total[obj] += x.card[obj]
+    cards = [x.card for x in summands]
     card: dict[str, int] = {}
-    classes: dict[str, list[int]] = {}
-    merged: dict[str, list[int]] = {}
+    legs_by_obj: list[list[list[int]]] = []  # per object, each summand's leg
+    lookups: dict[str, list] = {}  # per codomain object, each summand's part -> class
+    roots: dict[str, bytearray | None] = {}  # per object, which stacked slots are roots
     for obj in schema.objects:
-        uf = _UnionFind(total[obj])
-        for i, j, pairs in glue:
-            shift_i, shift_j = offsets[i][obj] - 1, offsets[j][obj] - 1
-            for p, q in pairs[obj]:
-                uf.union(shift_i + p, shift_j + q)
-        # roots are the smallest slots of their classes, so the run of roots
-        # between two merged slots takes the next run of ids, and a merged
-        # slot's root comes before it and is already numbered
-        cuts = merged[obj] = sorted(uf.merged)
-        ids: list[int] = []
-        n = prev = 0
-        for slot in cuts + [total[obj]]:
-            ids += range(n + 1, n + 1 + slot - prev)
-            ids.append(0)
-            n, prev = n + slot - prev, slot + 1
-        ids.pop()
-        for slot in cuts:
-            ids[slot] = ids[uf.find(slot)]
-        card[obj], classes[obj] = n, ids
-    legs = [
-        {obj: classes[obj][offset[obj] : offset[obj] + x.card[obj]] for obj in schema.objects}
-        for x, offset in zip(summands, offsets)
-    ]
+        # summand k holds slots starts[k] + 1 .. starts[k + 1]
+        starts = list(accumulate(map(itemgetter(obj), cards), initial=0))
+        n = starts[-1]
+        parent = list(range(n + 1))
+        merged: list[int] = []  # slots that stopped being roots
+        for i, j, f, g in glue:
+            col = g[obj]
+            if not col:
+                continue
+            si, sj = starts[i], starts[j]
+            for a, b in enumerate(col, si + 1) if f is None else zip(map(si.__add__, f[obj]), col):
+                b += sj
+                # path halving; a class's root is its smallest slot
+                while a != parent[a]:
+                    parent[a] = a = parent[parent[a]]
+                while b != parent[b]:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                    merged.append(b)
+                elif b < a:
+                    parent[a] = b
+                    merged.append(a)
+        # roots take the ids in runs between merged slots; a merged slot's
+        # parent is a smaller slot, so its id is final when it is reached
+        merged.sort()
+        ids, kept = [0], bytearray(b"\1") * n
+        for m, s in enumerate(merged):
+            if s > len(ids):
+                ids += range(len(ids) - m, s - m)
+            ids.append(ids[parent[s]])
+            kept[s - 1] = 0
+        ids += range(len(ids) - len(merged), n + 1 - len(merged))
+        card[obj], roots[obj] = n - len(merged), kept if merged else None
+        firsts = list(map((1).__add__, starts))
+        legs_by_obj.append(list(map(ids.__getitem__, map(slice, firsts, firsts[1:]))))
+        if schema.incoming(obj):  # lookup k sends part p to ids[starts[k] + p]
+            pieces = map(ids.__getitem__, map(slice, starts, firsts[1:]))
+            lookups[obj] = list(map(attrgetter("__getitem__"), pieces))
     columns: dict[str, list[int]] = {}
+    summand_columns = [x.column for x in summands]
     for gen in schema.generators:
-        stacked: list[int] = []
-        for x, leg in zip(summands, legs):
-            stacked += map(([0] + leg[gen.cod]).__getitem__, x.column[gen.name])
+        cols = map(itemgetter(gen.name), summand_columns)
+        pushed = chain.from_iterable(map(map, lookups[gen.cod], cols))
         # the inputs are natural, so a merged slot's image is its root's
-        columns[gen.name] = _without(stacked, merged[gen.dom])
-    return make_instance(schema, card, columns), legs
-
-
-def _without(values: list[int], cuts: list[int]) -> list[int]:
-    """`values` minus the positions in the ascending list `cuts`, by slices."""
-    out: list[int] = []
-    prev = 0
-    for cut in cuts:
-        out += values[prev:cut]
-        prev = cut + 1
-    out += values[prev:]
-    return out
+        mask = roots[gen.dom]
+        columns[gen.name] = list(pushed if mask is None else compress(pushed, mask))
+    # zipped with the summands too, so that a schema with no objects gives a leg each
+    legs = [dict(zip(schema.objects, comps)) for comps in zip(*legs_by_obj, summands)]
+    return _validated(CSetInstance(schema, card, columns)), legs
 
 
 def pushout(f: Transformation, g: Transformation) -> PushoutResult:
@@ -173,9 +160,8 @@ def pushout(f: Transformation, g: Transformation) -> PushoutResult:
     if f.dom != g.dom:
         raise ValueError("pushout requires a shared domain")
     b, c = f.cod, g.cod
-    glue = {obj: zip(f.comp[obj], g.comp[obj]) for obj in b.schema.objects}
-    apex, (comp_b, comp_c) = _quotient([b, c], [(0, 1, glue)])
-    return PushoutResult(apex, Transformation(b, apex, comp_b), Transformation(c, apex, comp_c), f, g)
+    apex, (comp_b, comp_c) = _quotient([b, c], [(0, 1, f.comp, g.comp)])
+    return PushoutResult(apex, _adopt(b, apex, comp_b), _adopt(c, apex, comp_c), f, g)
 
 
 def coproduct(instances: list[CSetInstance]) -> tuple[CSetInstance, list[Transformation]]:
@@ -183,7 +169,7 @@ def coproduct(instances: list[CSetInstance]) -> tuple[CSetInstance, list[Transfo
     if not instances:
         raise ValueError("coproduct of no instances needs an explicit schema")
     apex, comps = _quotient(instances, [])
-    return apex, [Transformation(x, apex, comp) for x, comp in zip(instances, comps)]
+    return apex, [_adopt(x, apex, comp) for x, comp in zip(instances, comps)]
 
 
 @dataclass
@@ -215,14 +201,9 @@ def diagram_colimit(d: Diagram) -> tuple[CSetInstance, dict[str, Transformation]
     if not d.nodes:
         raise ValueError("diagram colimit needs at least one node")
     position = {node_id: i for i, (node_id, _) in enumerate(d.nodes)}
-    glue = [
-        (position[src], position[tgt], {obj: enumerate(col, start=1) for obj, col in t.comp.items()})
-        for src, tgt, t in d.arrows
-    ]
+    glue = [(position[src], position[tgt], None, t.comp) for src, tgt, t in d.arrows]
     apex, comps = _quotient([x for _, x in d.nodes], glue)
-    return apex, {
-        node_id: Transformation(x, apex, comp) for (node_id, x), comp in zip(d.nodes, comps)
-    }
+    return apex, {node_id: _adopt(x, apex, comp) for (node_id, x), comp in zip(d.nodes, comps)}
 
 
 @dataclass

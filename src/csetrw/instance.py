@@ -100,6 +100,8 @@ class CSetInstance:
         return part
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, CSetInstance):
             return NotImplemented
         return (
@@ -111,12 +113,6 @@ class CSetInstance:
     def __repr__(self):
         cards = ", ".join(f"{o}:{self.card[o]}" for o in self.schema.objects)
         return f"CSetInstance({cards})"
-
-
-def _normalize(schema: SchemaPresentation, card, columns) -> tuple[dict, dict]:
-    full_card = {o: int(card.get(o, 0)) for o in schema.objects}
-    full_cols = {g.name: list(columns.get(g.name, ())) for g in schema.generators}
-    return full_card, full_cols
 
 
 def validate_instance(x: CSetInstance) -> list:
@@ -180,12 +176,18 @@ def build_index(x: CSetInstance) -> dict[str, list[list[int]]]:
 
 def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dict[str, list[int]]) -> CSetInstance:
     """Validated instance; raises InvalidInstanceError."""
-    full_card, full_cols = _normalize(schema, card, columns)
+    full_card = {o: int(card.get(o, 0)) for o in schema.objects}
+    full_cols = {g.name: list(columns.get(g.name, ())) for g in schema.generators}
     unknown = set(card) - set(schema.objects)
     unknown |= set(columns) - {g.name for g in schema.generators}
     if unknown:
         raise InvalidInstanceError([f"unknown name {n!r} for this schema" for n in sorted(unknown)])
-    inst = CSetInstance(schema, full_card, full_cols)
+    return _validated(CSetInstance(schema, full_card, full_cols))
+
+
+def _validated(inst: CSetInstance) -> CSetInstance:
+    """`inst` after `make_instance`'s checks but not its copy, for constructions
+    that build every column fresh; raises InvalidInstanceError."""
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)
@@ -230,7 +232,7 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]]):
     column is copied and only the entries of moved parts, or pointing at
     dropped or moved parts, are patched.
     """
-    from .transform import Transformation
+    from .transform import _adopt
 
     card: dict[str, int] = {}
     moved: dict[str, dict[int, int]] = {}
@@ -258,8 +260,8 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]]):
                 raise ValueError(f"kept parts are not closed under column {gen.name!r}")
             sub_col[i] = cod_moved[sub_col[i]]
         columns[gen.name] = sub_col
-    sub = make_instance(x.schema, card, columns)
-    return sub, Transformation(sub, x, slots), moved
+    sub = _validated(CSetInstance(x.schema, card, columns))
+    return sub, _adopt(sub, x, slots), moved
 
 
 def _preimages(col: list[int], targets: set[int]) -> list[int]:

@@ -234,14 +234,17 @@ class Workspace:
 
     def __init__(self):
         self.schemas: dict[str, SchemaPresentation] = {}
-        self.schema_violations: dict[str, list[str]] = {}  # found once, at load
+        self.schema_violations: dict[str, list[str]] = {}  # found once, at load or resolve
         self.raw: dict[str, tuple[str, object]] = {}
 
     def resolve(self, name: str) -> SchemaPresentation:
-        """The schema loaded as `name`; ParseError if it is ill-formed."""
+        """The schema registered as `name`, validated once even if stored
+        without `load`; ParseError if it is ill-formed."""
         if name not in self.schemas:
             raise UnknownReferenceError(name)
-        _refuse_ill_formed(f"schema {name!r}", self.schema_violations.get(name, []))
+        if name not in self.schema_violations:
+            self.schema_violations[name] = validate_schema(self.schemas[name])
+        _refuse_ill_formed(f"schema {name!r}", self.schema_violations[name])
         return self.schemas[name]
 
     def load(self, path: str | Path) -> tuple[str, str, object]:

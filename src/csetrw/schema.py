@@ -104,6 +104,8 @@ class SchemaPresentation:
         return count
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SchemaPresentation):
             return NotImplemented
         return (

@@ -30,7 +30,7 @@ class Transformation:
             obj: [other.comp[obj][v - 1] for v in self.comp[obj]]
             for obj in self.dom.schema.objects
         }
-        return Transformation(self.dom, other.cod, comp)
+        return _adopt(self.dom, other.cod, comp)
 
     def is_monic(self) -> bool:
         return all(len(set(col)) == len(col) for col in self.comp.values())
@@ -39,12 +39,21 @@ class Transformation:
         return set(self.comp[obj])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Transformation):
             return NotImplemented
         return self.dom == other.dom and self.cod == other.cod and self.comp == other.comp
 
     def __repr__(self):
         return f"Transformation({self.dom!r} -> {self.cod!r})"
+
+
+def _adopt(dom: CSetInstance, cod: CSetInstance, comp: dict[str, list[int]]) -> Transformation:
+    """A transformation on `comp` as it is: fresh lists for every object, uncopied."""
+    t = object.__new__(Transformation)
+    t.dom, t.cod, t.comp = dom, cod, comp
+    return t
 
 
 def identity(x: CSetInstance) -> Transformation:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 
@@ -512,10 +513,92 @@ def test_quotient_agrees_with_plain_union_find():
             if homs:
                 h = rng.choice(homs)
                 glue.append((i, j, {o: list(enumerate(h.comp[o], start=1)) for o in schema.objects}))
-        apex, legs = _quotient(xs, glue)
+        # _quotient takes each entry's pairs as two aligned columns per object
+        sides = [
+            (i, j, {o: [p for p, _ in ps] for o, ps in pairs.items()}, {o: [q for _, q in ps] for o, ps in pairs.items()})
+            for i, j, pairs in glue
+        ]
+        apex, legs = _quotient(xs, sides)
         assert (apex.card, apex.column, legs) == plain_quotient(xs, glue)
         glued += bool(glue)
     assert glued > 150
+
+
+def mesh_cells_diagram(mesh):
+    """One node per triangle and per edge of `mesh`, each the closed piece
+    around it, with an arrow from every edge to each triangle it bounds."""
+    nodes, arrows, incl = [], [], {}
+
+    def piece(node, kept):
+        sub, incl[node] = restrict(mesh, kept)
+        nodes.append((node, sub))
+
+    for t in mesh.parts("T"):
+        edges = {mesh.column[d][t - 1] for d in ("d0", "d1", "d2")}
+        piece(f"t{t}", {"T": {t}, "E": edges, "V": {mesh.column[g][e - 1] for e in edges for g in ("src", "tgt")}})
+    for e in mesh.parts("E"):
+        piece(f"e{e}", {"E": {e}, "V": {mesh.column["src"][e - 1], mesh.column["tgt"][e - 1]}})
+    labels = dict(nodes)
+    for t in mesh.parts("T"):
+        local = {o: {g: i + 1 for i, g in enumerate(incl[f"t{t}"].comp[o])} for o in ("V", "E")}
+        for d in ("d0", "d1", "d2"):
+            e = mesh.column[d][t - 1]
+            comp = {o: [local[o][g] for g in incl[f"e{e}"].comp[o]] for o in ("V", "E")}
+            arrows.append((f"e{e}", f"t{t}", Transformation(labels[f"e{e}"], labels[f"t{t}"], comp)))
+    return Diagram(nodes, arrows)
+
+
+def test_mesh_cells_diagram_rebuilds_the_mesh():
+    mesh = gen_mesh(16, 16)
+    d = mesh_cells_diagram(mesh)
+    xs = [x for _, x in d.nodes]
+    position = {node: i for i, (node, _) in enumerate(d.nodes)}
+    glue = [(position[s], position[t], {o: list(enumerate(h.comp[o], start=1)) for o in h.comp}) for s, t, h in d.arrows]
+    apex, legs = _quotient(xs, [(position[s], position[t], None, h.comp) for s, t, h in d.arrows])
+    assert (apex.card, apex.column, legs) == plain_quotient(xs, glue)
+    total, node_legs = diagram_colimit(d)
+    assert total == apex and [node_legs[node].comp for node, _ in d.nodes] == legs
+    assert apex.card == mesh.card
+    assert is_isomorphic(apex, mesh)
+
+
+def test_quotient_of_a_worst_case_union_chain_is_fast():
+    """20,000 pairs: a 10,000-slot chain built deepest link first, then
+    every slot glued again to the far end, which a union-find without
+    path compression walks in quadratic time."""
+    one = SchemaPresentation(["V"], [], [])
+    n = 10_001
+    x = make_instance(one, {"V": n}, {})
+    lefts = list(range(n - 1, 0, -1)) + list(range(n, 1, -1))
+    rights = list(range(n, 1, -1)) + [1] * (n - 1)
+    assert len(lefts) == 20_000
+
+    def expire(signum, frame):
+        raise TimeoutError("the union chain took longer than 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        apex, (leg,) = _quotient([x], [(0, 0, {"V": lefts}, {"V": rights})])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert apex.card == {"V": 1} and leg == {"V": [1] * n}
+
+
+def test_colimit_outputs_share_no_list_with_their_inputs(graph, small_graph):
+    def lists_of(*things):
+        return [col for t in things for col in (t.comp if isinstance(t, Transformation) else t.column).values()]
+
+    f = Transformation(empty_instance(graph), small_graph, {})
+    po = pushout(f, f)
+    total, (inj,) = coproduct([small_graph])
+    loop = identity(small_graph)
+    apex, legs = diagram_colimit(Diagram([("x", small_graph)], [("x", "x", loop)]))
+    inputs = {id(col) for col in lists_of(f, loop, small_graph, empty_instance(graph))}
+    outputs = lists_of(po.apex, po.leg_b, po.leg_c, total, inj, apex, *legs.values())
+    assert len(outputs) == 14 and not inputs.intersection(map(id, outputs))
+    assert all(col == small_graph.column[g] for g, col in total.column.items())
 
 
 def walk_complement_check(f, g):

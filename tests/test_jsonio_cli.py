@@ -13,6 +13,7 @@ from csetrw.errors import (
     MatchNotNaturalError,
     NotMonicError,
     ParseError,
+    PartOutOfRangeError,
     TypingMismatchError,
     UnknownReferenceError,
 )
@@ -100,6 +101,20 @@ def test_unknown_schema_reference():
     obj = {"schema": "nowhere", "card": {}, "columns": {}}
     with pytest.raises(UnknownReferenceError):
         jsonio.parse_instance(obj, jsonio.Workspace().resolve)
+
+
+def test_schema_stored_without_load_is_validated_once(monkeypatch):
+    ws = jsonio.Workspace()
+    ws.schemas["s"] = jsonio.parse_schema(
+        {"objects": ["E", "V"], "generators": [{"name": "src", "dom": "E", "cod": "W"}]}
+    )
+    obj = {"schema": "s", "card": {"E": 1, "V": 1}, "columns": {"src": [1]}}
+    with pytest.raises(ParseError, match="ill-formed"):
+        jsonio.parse_instance(obj, ws.resolve)
+    assert ws.schema_violations["s"]
+    monkeypatch.setattr(jsonio, "validate_schema", lambda schema: pytest.fail("validated twice"))
+    with pytest.raises(ParseError, match="ill-formed"):
+        jsonio.parse_instance(obj, ws.resolve)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +302,8 @@ def test_cli_rewrite_refusal_exit_code(case, tmp_path, capsys):
         (TypingMismatchError, 1),
         (CommutativityFailureError, 1),
         (ValueError, 2),
+        (IndexError, 2),
+        (PartOutOfRangeError, 2),
     ],
 )
 def test_cli_library_error_exit_codes(error, code, monkeypatch, capsys):
@@ -297,6 +314,17 @@ def test_cli_library_error_exit_codes(error, code, monkeypatch, capsys):
     argv = ["compose", fixture("open_edge_a.json"), fixture("open_edge_b.json"), "--schema", fixture("graph.json")]
     assert main(argv) == code
     assert capsys.readouterr().err == "error: refused here\n"
+
+
+def test_cli_key_error_exit_2(monkeypatch, capsys):
+    def refuse(*args):
+        raise KeyError("refused here")
+
+    monkeypatch.setattr(cli, "compose_cospans", refuse)
+    argv = ["compose", fixture("open_edge_a.json"), fixture("open_edge_b.json"), "--schema", fixture("graph.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "refused here" in err and err.count("\n") == 1
 
 
 def test_cli_bad_value_exit_code(capsys):

@@ -10,9 +10,11 @@ homomorphisms (plain, monic, pinned, limited), `is_isomorphic`, pushouts,
 pullbacks, `restrict`, pushout complements and their refusals, `rewrite`
 and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
 that feed each result back as the next host, the partial map
-classifier, `diagram_colimit` with `coproduct`, and `open_rewrite`. The
-SqPO and chain hosts carry a disjoint random padding, so that they have
-parts outside the match's neighbourhood. Half of the DPO and SPO rewrite
+classifier, `diagram_colimit` with `coproduct` (small diagrams, and
+diagrams of up to 12 nodes with spans, parallel arrows and self-arrows),
+chains of structured cospans composed one after another, and
+`open_rewrite`. The SqPO and chain hosts carry a disjoint random
+padding, so that they have parts outside the match's neighbourhood. Half of the DPO and SPO rewrite
 cases are drawn over a schema with a loop `next: E -> E`, so that the
 deletion closure follows a generator on a cycle.
 
@@ -333,29 +335,92 @@ def case_classifier(rng):
 
 
 def case_colimit(rng):
+    """A diagram colimit with the coproduct of its nodes.
+
+    Half of the diagrams have 1-3 nodes and up to 3 random arrows. The
+    other half have up to 12 nodes, glued as the mesh benchmark glues
+    cells: "edge" nodes are closed pieces of a "cell" node, included into
+    it and mapped into another cell (a span), beside parallel arrows and
+    self-arrows.
+    """
     from oracles import random_acyclic_schema
 
-    from csetrw import Diagram, coproduct, diagram_colimit
+    from csetrw import Diagram, coproduct, diagram_colimit, homomorphisms
 
     schema = random_acyclic_schema(rng)
-    xs = [_small(rng, schema, 5, max_parts=2) for _ in range(rng.randint(1, 3))]
     rec = Record(schema)
-    nodes = [(f"n{i}", x) for i, x in enumerate(xs)]
+    if rng.random() < 0.5:
+        nodes = [(f"n{i}", _small(rng, schema, 5, max_parts=2)) for i in range(rng.randint(1, 3))]
+        arrows = []
+        for _ in range(rng.randint(0, 3)):
+            (s, src), (t, tgt) = rng.choice(nodes), rng.choice(nodes)
+            h = _some_hom(rng, src, tgt)
+            if h is not None:
+                arrows.append((s, t, h))
+    else:
+        cells = [(f"c{i}", _small(rng, schema, 6, max_parts=2, min_parts=1)) for i in range(rng.randint(2, 6))]
+        nodes, arrows = list(cells), []
+        for k in range(rng.randint(1, 6)):  # spans: a piece of one cell glued into another
+            (c, cell), (t, other) = rng.choice(cells), rng.choice(cells)
+            piece, incl = _sub(rng, cell, 0.4)
+            into = _some_hom(rng, piece, other)
+            nodes.append((f"e{k}", piece))
+            arrows.append((f"e{k}", c, incl))
+            if into is not None:
+                arrows.append((f"e{k}", t, into))
+        labels = dict(nodes)
+        for _ in range(rng.randint(0, 3)):  # parallel arrows and self-arrows
+            s = rng.choice(list(labels))
+            t = s if rng.random() < 0.5 else rng.choice(list(labels))
+            homs = homomorphisms(labels[s], labels[t])
+            for h in rng.sample(homs, min(2, len(homs))):
+                arrows.append((s, t, h))
     for node, x in nodes:
         rec.fix(node, x)
-    arrows = []
-    for _ in range(rng.randint(0, 3)):
-        (s, src), (t, tgt) = rng.choice(nodes), rng.choice(nodes)
-        h = _some_hom(rng, src, tgt)
-        if h is not None:
-            rec.map(f"{s}->{t}#{len(arrows)}", h)
-            arrows.append((s, t, h))
+    for k, (s, t, h) in enumerate(arrows):
+        rec.map(f"{s}->{t}#{k}", h)
     _, legs = diagram_colimit(Diagram(nodes, arrows))
     for node, leg in legs.items():
         rec.map(f"leg.{node}", leg)
-    _, injections = coproduct(xs)
+    _, injections = coproduct([x for _, x in nodes])
     for i, inj in enumerate(injections):
         rec.map(f"inj.{i}", inj)
+    return rec
+
+
+def case_compose(rng):
+    """A chain of 2-6 random structured cospans with discrete feet, composed.
+
+    The feet hold parts only at objects without outgoing generators, and
+    each cospan's output foot is equal to the next one's input foot.
+    """
+    from oracles import random_acyclic_schema, random_instance
+
+    from csetrw import StructuredCospan, Transformation, compose_cospans, make_instance
+
+    schema = random_acyclic_schema(rng)
+    rec = Record(schema)
+    ends = [o for o in schema.objects if not schema.outgoing(o)]
+    feet = [
+        make_instance(schema, {o: rng.randint(0, 2) for o in ends}, {})
+        for _ in range(rng.randint(3, 7))
+    ]
+    chain = []
+    for k, (a, b) in enumerate(zip(feet, feet[1:])):
+        apex = random_instance(rng, schema, max_parts=3, min_parts=1)
+        legs = [
+            Transformation(foot, apex, {o: [rng.randint(1, apex.card[o]) for _ in foot.parts(o)] for o in schema.objects})
+            for foot in (a, b)
+        ]
+        rec.map(f"in{k}", legs[0])
+        rec.map(f"out{k}", legs[1])
+        chain.append(StructuredCospan(*legs))
+    rec.fixed, rec.built = rec.built, {}  # everything so far is input
+    acc = chain[0]
+    for k, c in enumerate(chain[1:], start=1):
+        acc = compose_cospans(acc, c)
+        rec.map(f"composite{k}.in", acc.in_leg)
+        rec.map(f"composite{k}.out", acc.out_leg)
     return rec
 
 
@@ -429,6 +494,7 @@ FAMILIES = {
     "rewrite chain": case_chain,
     "classifier": case_classifier,
     "colimit": case_colimit,
+    "compose cospans": case_compose,
     "open_rewrite": case_open,
 }
 
