@@ -12,8 +12,9 @@ columns pushed down per summand with `map` and stripped of merged slots
 by one `compress`. Each output list is built once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages, and the partial map classifier decorates parts with
-subfunctors of representables. Columns always descend to the constructed
-instances because the inputs are natural.
+subfunctors of representables. `pushout`, `pullback` and
+`final_pullback_complement` check that their input maps are natural, so
+columns descend and every output is built with `_trusted`, unchecked.
 
 A pushout complement reads only what it deletes: the identification
 check walks B, and the dangling check and the restriction to D visit
@@ -25,7 +26,7 @@ parts of G from which some path reaches the match, found by the
 empty partial map, so only they are classified, split or dropped, and
 every other part of G is carried over by a renumbering of whole column
 runs. T(X) is built on first use and kept on X, like the preimage
-index, so a rule's T(L) and T(I) are built once.
+index, and T(l) on l, so a rule's T(L), T(I) and T(l) are built once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import accumulate, chain, compress
 from operator import attrgetter, itemgetter
 
 from .errors import ComplementViolationsError, NotMonicError
-from .instance import CSetInstance, _preimages, _restrict_removing, _validated, deletion_closure, make_instance
+from .instance import CSetInstance, _preimages, _restrict_removing, _trusted, deletion_closure
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
 from .transform import Transformation, _adopt, identity, is_natural
@@ -75,7 +76,7 @@ def cocone_induced(
         if 0 in col:
             raise ValueError(f"legs do not jointly cover object {obj!r}")
         comp[obj] = col
-    return Transformation(apex, u.cod, comp)
+    return _adopt(apex, u.cod, comp)
 
 
 def _quotient(
@@ -148,7 +149,7 @@ def _quotient(
         columns[gen.name] = list(pushed if mask is None else compress(pushed, mask))
     # zipped with the summands too, so that a schema with no objects gives a leg each
     legs = [dict(zip(schema.objects, comps)) for comps in zip(*legs_by_obj, summands)]
-    return _validated(CSetInstance(schema, card, columns)), legs
+    return _trusted(schema, card, columns), legs
 
 
 def pushout(f: Transformation, g: Transformation) -> PushoutResult:
@@ -159,6 +160,8 @@ def pushout(f: Transformation, g: Transformation) -> PushoutResult:
     """
     if f.dom != g.dom:
         raise ValueError("pushout requires a shared domain")
+    if is_natural(f) or is_natural(g):
+        raise ValueError("pushout legs must be natural")
     b, c = f.cod, g.cod
     apex, (comp_b, comp_c) = _quotient([b, c], [(0, 1, f.comp, g.comp)])
     return PushoutResult(apex, _adopt(b, apex, comp_b), _adopt(c, apex, comp_c), f, g)
@@ -220,20 +223,11 @@ class PullbackResult:
             raise ValueError("cone legs must share their domain")
         if u.compose(self.f) != v.compose(self.g):
             raise ValueError("cone does not commute with the defining cospan")
-        lookup = {
-            obj: {
-                (self.p1.comp[obj][i], self.p2.comp[obj][i]): i + 1
-                for i in range(self.apex.card[obj])
-            }
-            for obj in self.apex.schema.objects
-        }
-        comp = {
-            obj: [
-                lookup[obj][(u.comp[obj][i], v.comp[obj][i])] for i in range(u.dom.card[obj])
-            ]
-            for obj in self.apex.schema.objects
-        }
-        return Transformation(u.dom, self.apex, comp)
+        comp = {}
+        for obj in self.apex.schema.objects:
+            pair_id = {pair: i for i, pair in enumerate(zip(self.p1.comp[obj], self.p2.comp[obj]), 1)}
+            comp[obj] = list(map(pair_id.__getitem__, zip(u.comp[obj], v.comp[obj])))
+        return _adopt(u.dom, self.apex, comp)
 
 
 def pullback(f: Transformation, g: Transformation) -> PullbackResult:
@@ -244,6 +238,8 @@ def pullback(f: Transformation, g: Transformation) -> PullbackResult:
     """
     if f.cod != g.cod:
         raise ValueError("pullback requires a shared codomain")
+    if is_natural(f) or is_natural(g):
+        raise ValueError("pullback legs must be natural")
     b, c = f.dom, g.dom
     schema = b.schema
     pairs: dict[str, list[tuple[int, int]]] = {}
@@ -266,9 +262,9 @@ def pullback(f: Transformation, g: Transformation) -> PullbackResult:
         ]
         for gen in schema.generators
     }
-    apex = make_instance(schema, card, columns)
-    p1 = Transformation(apex, b, {obj: [pb for pb, _ in pairs[obj]] for obj in schema.objects})
-    p2 = Transformation(apex, c, {obj: [pc for _, pc in pairs[obj]] for obj in schema.objects})
+    apex = _trusted(schema, card, columns)
+    p1 = _adopt(apex, b, {obj: [pb for pb, _ in pairs[obj]] for obj in schema.objects})
+    p2 = _adopt(apex, c, {obj: [pc for _, pc in pairs[obj]] for obj in schema.objects})
     return PullbackResult(apex, p1, p2, f, g)
 
 
@@ -360,7 +356,7 @@ def _into_restriction(
     them. f must land in the kept parts.
     """
     comp = {obj: [moved[obj].get(v, v) for v in col] for obj, col in f.comp.items()}
-    return Transformation(f.dom, incl.dom, comp)
+    return _adopt(f.dom, incl.dom, comp)
 
 
 class Classifier:
@@ -415,7 +411,7 @@ class Classifier:
             ]
             for gen in schema.generators
         }
-        self.instance = make_instance(schema, card, columns)
+        self.instance = _trusted(schema, card, columns)
         self.eta = self.classify_partial(identity(x), identity(x))
 
     def __iter__(self):
@@ -478,7 +474,7 @@ class Classifier:
                 d2, k2 = self._act(c, gen.dom, k, gen.name)
                 col[local[gen.dom][k] - 1] = local[d2][k2]
             columns[gen.name] = col
-        inst = make_instance(self.schema, card, columns)
+        inst = _trusted(self.schema, card, columns)
         locs = {d: [local[d][k] for k in sub[d]] for d in self.schema.objects}
         return inst, locs
 
@@ -521,7 +517,7 @@ class Classifier:
             c: [self._classify(a, partial, c, part) for part in a.parts(c)]
             for c in self.schema.objects
         }
-        return Transformation(a, self.instance, comp)
+        return _adopt(a, self.instance, comp)
 
     def _classify(self, a: CSetInstance, partial: dict[str, dict[int, int]], c: str, part: int) -> int:
         """The T-part classifying one part of A at c.
@@ -560,7 +556,7 @@ def classifier_map(tdom: Classifier, tcod: Classifier, f: Transformation) -> Tra
             index[tuple((d, sub[d], tuple(map(shifted[d].__getitem__, hvals[d]))) for d in order)]
             for sub, hvals in tdom.elements[c]
         ]
-    return Transformation(tdom.instance, tcod.instance, comp)
+    return _adopt(tdom.instance, tcod.instance, comp)
 
 
 def final_pullback_complement(
@@ -576,17 +572,19 @@ def final_pullback_complement(
     one part of K. So χ is evaluated on that neighbourhood alone, and
     K's columns are G's pushed through a renumbering built from `range`
     runs, with only the neighbourhood's entries patched. Returns
-    (I -> K, K -> G).
+    (I -> K, K -> G); raises ValueError unless l and the match are natural.
     """
     if l.cod != match.dom:
         raise ValueError("the match must start where the rule leg ends")
     if not match.is_monic():
         raise NotMonicError("final pullback complements require a monic match")
+    if is_natural(l) or is_natural(match):
+        raise ValueError("final pullback complements need a natural rule leg and match")
     t_l, t_i = partial_map_classifier(l.cod), partial_map_classifier(l.dom)
     g = match.cod
     schema = g.schema
     near = deletion_closure(g, {d: set(match.comp[d]) for d in schema.objects})
-    t_of_l = classifier_map(t_i, t_l, l)
+    t_of_l = l.classifier_map
     partial = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
     card: dict[str, int] = {}
     ids: dict[str, list[int]] = {}  # K-part of each G-part outside the neighbourhood
@@ -628,7 +626,7 @@ def final_pullback_complement(
             prev = h
         out += mapped[prev:]
         columns[gen.name] = out
-    k = make_instance(schema, card, columns)
+    k = _trusted(schema, card, columns)
     i_to_k = {
         obj: [
             pair_id[obj][match.comp[obj][v - 1], t]
@@ -636,4 +634,4 @@ def final_pullback_complement(
         ]
         for obj in schema.objects
     }
-    return Transformation(l.dom, k, i_to_k), Transformation(k, g, k_to_g)
+    return _adopt(l.dom, k, i_to_k), _adopt(k, g, k_to_g)

@@ -9,12 +9,15 @@ and final pullback complements, reads it only on a cyclic schema.
 `restrict` is the one subinstance constructor; it numbers the kept parts
 swap-last, as deletion in place would.
 
-Work that touches every part is done a column at a time at C level:
-`make_instance` copies the columns it is given, `validate_instance`
-checks ranges with `min`/`max` and each equation as two composed
-columns, and `restrict` copies each column and patches only the entries
-of moved parts and those pointing at dropped or moved parts. Walks part
-by part happen only where a violation is reported.
+`make_instance` copies and validates what enters the library. What
+`restrict` and `colimits` build from valid instances by natural maps is
+valid, so they make it with `_trusted`, which neither copies nor checks;
+the tests validate those. Work that touches every part is done a column
+at a time at C level: `validate_instance` checks ranges with `min`/`max`
+and each equation as two composed columns, and `restrict` copies each
+column and patches only the entries of moved parts and those pointing
+at dropped or moved parts. Walks part by part happen only where a
+violation is reported.
 """
 
 from __future__ import annotations
@@ -182,16 +185,14 @@ def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dic
     unknown |= set(columns) - {g.name for g in schema.generators}
     if unknown:
         raise InvalidInstanceError([f"unknown name {n!r} for this schema" for n in sorted(unknown)])
-    return _validated(CSetInstance(schema, full_card, full_cols))
-
-
-def _validated(inst: CSetInstance) -> CSetInstance:
-    """`inst` after `make_instance`'s checks but not its copy, for constructions
-    that build every column fresh; raises InvalidInstanceError."""
+    inst = CSetInstance(schema, full_card, full_cols)
     violations = validate_instance(inst)
     if violations:
         raise InvalidInstanceError(violations)
     return inst
+
+
+_trusted = CSetInstance  # (schema, card, columns), kept as they are and unchecked
 
 
 def empty_instance(schema: SchemaPresentation) -> CSetInstance:
@@ -260,7 +261,7 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]]):
                 raise ValueError(f"kept parts are not closed under column {gen.name!r}")
             sub_col[i] = cod_moved[sub_col[i]]
         columns[gen.name] = sub_col
-    sub = _validated(CSetInstance(x.schema, card, columns))
+    sub = _trusted(x.schema, card, columns)
     return sub, _adopt(sub, x, slots), moved
 
 
@@ -387,13 +388,6 @@ class EquationFailure:
         return f"equation {self.equation} fails at vertex {self.vertex}"
 
 
-def validate_typed_graph(t: TypedGraph) -> list:
-    """Well-typedness of the typing morphism (its two naturality squares)."""
-    from .transform import is_natural
-
-    return is_natural(t.typing)
-
-
 def check_discrete_opfibration(t: TypedGraph):
     """Decide whether a typed graph is the element graph of a C-set.
 
@@ -404,7 +398,9 @@ def check_discrete_opfibration(t: TypedGraph):
     through a missing or ambiguous edge are skipped, since those defects
     are already reported.
     """
-    if validate_typed_graph(t):
+    from .transform import is_natural
+
+    if is_natural(t.typing):
         raise ValueError("typed graph is not well-typed over its schema")
     schema = t.schema
     graph = t.graph
@@ -452,4 +448,4 @@ def check_discrete_opfibration(t: TypedGraph):
         ]
         for gen in schema.generators
     }
-    return make_instance(schema, card, columns)
+    return _trusted(schema, card, columns)

@@ -35,6 +35,8 @@ class Rule:
             raise ValueError(f"unknown rewrite kind {self.kind!r}")
         if self.l.dom != self.r.dom:
             raise ValueError("rule legs must share their interface instance")
+        if is_natural(self.l) or is_natural(self.r):
+            raise ValueError("rule legs must be natural transformations")
 
     @property
     def lhs(self) -> CSetInstance:
@@ -62,8 +64,6 @@ def _check_match(rule: Rule, match: Transformation) -> None:
     violations = is_natural(match)
     if violations:
         raise MatchNotNaturalError(f"match is not natural: {violations}")
-    if is_natural(rule.l) or is_natural(rule.r):
-        raise ValueError("rule legs must be natural transformations")
 
 
 def _push_out_rhs(
@@ -85,10 +85,8 @@ def _push_out_rhs(
 
 
 def rewrite_dpo(rule: Rule, match: Transformation) -> RewriteOutcome:
-    """Double pushout step; refuses with the Eq-level violations otherwise."""
+    """Double pushout step; refuses a non-monic left leg or Eq-level violations."""
     _check_match(rule, match)
-    if not rule.l.is_monic():
-        raise NotMonicError("DPO requires a monic left rule leg")
     return _push_out_rhs(rule, match, *pushout_complement(rule.l, match))
 
 
@@ -164,8 +162,6 @@ def rewrite_sqpo(rule: Rule, match: Transformation) -> RewriteOutcome:
     and the schema acyclic (the classifier is finite only then).
     """
     _check_match(rule, match)
-    if not match.is_monic():
-        raise NotMonicError("SqPO requires a monic match")
     return _push_out_rhs(rule, match, *final_pullback_complement(rule.l, match))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import PartOutOfRangeError
 from .instance import CSetInstance
-from .transform import Transformation
+from .transform import Transformation, _adopt
 
 
 @dataclass
@@ -170,7 +170,7 @@ class _Search:
                 pos += 1
             if pos == len(order):
                 comp = {obj: list(col) for obj, col in assign.items()}
-                self.results.append(Transformation(self.x, self.y, comp))
+                self.results.append(_adopt(self.x, self.y, comp))
                 if limit is not None and len(self.results) >= limit:
                     return
             else:

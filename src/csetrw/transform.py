@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotMonicError
 from .instance import CSetInstance
@@ -10,7 +11,7 @@ from .instance import CSetInstance
 
 @dataclass
 class Transformation:
-    """Per-object part maps dom -> cod; natural when every square commutes."""
+    """Per-object part maps dom -> cod, a missing object empty; natural when squares commute."""
 
     dom: CSetInstance
     cod: CSetInstance
@@ -18,6 +19,14 @@ class Transformation:
 
     def __post_init__(self):
         self.comp = {o: list(self.comp.get(o, ())) for o in self.dom.schema.objects}
+        _check_components(self)
+
+    @cached_property
+    def classifier_map(self) -> Transformation:
+        """T(self), built on first use and kept, like `CSetInstance.classifier`."""
+        from .colimits import classifier_map
+
+        return classifier_map(self.dom.classifier, self.cod.classifier, self)
 
     def apply(self, obj: str, part: int) -> int:
         return self.comp[obj][part - 1]
@@ -50,14 +59,14 @@ class Transformation:
 
 
 def _adopt(dom: CSetInstance, cod: CSetInstance, comp: dict[str, list[int]]) -> Transformation:
-    """A transformation on `comp` as it is: fresh lists for every object, uncopied."""
+    """A transformation on `comp` as it is, unchecked: for maps built from natural maps."""
     t = object.__new__(Transformation)
     t.dom, t.cod, t.comp = dom, cod, comp
     return t
 
 
 def identity(x: CSetInstance) -> Transformation:
-    return Transformation(x, x, {obj: list(x.parts(obj)) for obj in x.schema.objects})
+    return _adopt(x, x, {obj: list(x.parts(obj)) for obj in x.schema.objects})
 
 
 def factor_through(f: Transformation, m: Transformation) -> Transformation:
@@ -80,7 +89,7 @@ def factor_through(f: Transformation, m: Transformation) -> Transformation:
             part = col.index(0) + 1
             raise ValueError(f"part {part} of {obj!r} maps outside the image it is factored through")
         comp[obj] = col
-    return Transformation(f.dom, m.dom, comp)
+    return _adopt(f.dom, m.dom, comp)
 
 
 @dataclass(frozen=True)
@@ -97,22 +106,23 @@ class NaturalityViolation:
         )
 
 
-def is_natural(t: Transformation) -> list[NaturalityViolation]:
-    """Naturality violations; empty iff the transformation is a homomorphism.
+def _check_components(t: Transformation) -> None:
+    """The constructor's check: ValueError unless each domain part goes to a codomain part."""
+    dom_card, cod_card = t.dom.card, t.cod.card
+    for obj, col in t.comp.items():
+        if len(col) != dom_card[obj]:
+            raise ValueError(f"component for {obj!r} has wrong length")
+        if col and (min(col) < 1 or max(col) > cod_card[obj]):
+            part = next(p for p, v in enumerate(col, start=1) if not 1 <= v <= cod_card[obj])
+            raise ValueError(f"component for {obj!r} sends {part} outside 1..{cod_card[obj]}")
 
-    Also reports range errors (component entries outside the codomain) as
-    violations of the corresponding identity assignment.
-    """
-    out: list[NaturalityViolation] = []
+
+def is_natural(t: Transformation) -> list[NaturalityViolation]:
+    """Naturality violations, empty iff a homomorphism; ValueError for a bad component."""
     if t.dom.schema != t.cod.schema:
         raise ValueError("domain and codomain instances live on different schemas")
-    for obj in t.dom.schema.objects:
-        col = t.comp[obj]
-        if len(col) != t.dom.card[obj]:
-            raise ValueError(f"component for {obj!r} has wrong length")
-        for part, v in enumerate(col, start=1):
-            if not 1 <= v <= t.cod.card[obj]:
-                raise ValueError(f"component for {obj!r} sends {part} outside 1..{t.cod.card[obj]}")
+    _check_components(t)
+    out: list[NaturalityViolation] = []
     for gen in t.dom.schema.generators:
         for part in t.dom.parts(gen.dom):
             expected = t.comp[gen.cod][t.dom.apply(gen.name, part) - 1]

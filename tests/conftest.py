@@ -1,10 +1,35 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from csetrw.instance import make_instance
+from csetrw import instance
+from csetrw.instance import make_instance, validate_instance
 from csetrw.mesh import gen_mesh
 from csetrw.schema import delta2_schema, graph_schema
+
+
+@pytest.fixture(autouse=True)
+def validate_built_instances(monkeypatch):
+    """Fail on any invalid instance a library construction builds.
+
+    The library builds its outputs through `instance._trusted` and does
+    not check them. Every module that looks that name up gets a version
+    that runs `validate_instance` on what it returns.
+    """
+    trusted = instance._trusted
+
+    def checked(schema, card, columns):
+        x = trusted(schema, card, columns)
+        violations = validate_instance(x)
+        if violations:
+            pytest.fail(f"a library construction built an invalid instance: {violations}")
+        return x
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "csetrw" and getattr(module, "_trusted", None) is trusted:
+            monkeypatch.setattr(module, "_trusted", checked)
 
 
 @pytest.fixture(scope="session")

@@ -308,6 +308,28 @@ def test_fpc_requires_monic_match(graph):
         final_pullback_complement(identity(a), Transformation(a, b, {"V": [1, 1]}))
 
 
+@pytest.fixture()
+def skewed_edge(graph, small_graph):
+    """A monic map that is not natural: edge 1 -> 2 sent to edge 2, which runs 2 -> 3."""
+    edge = make_instance(graph, {"V": 2, "E": 1}, {"src": [1], "tgt": [2]})
+    return Transformation(edge, small_graph, {"V": [1, 2], "E": [2]})
+
+
+def test_pushout_refuses_a_non_natural_leg(skewed_edge):
+    with pytest.raises(ValueError, match="pushout legs must be natural"):
+        pushout(skewed_edge, identity(skewed_edge.dom))
+
+
+def test_pullback_refuses_a_non_natural_leg(skewed_edge):
+    with pytest.raises(ValueError, match="pullback legs must be natural"):
+        pullback(skewed_edge, identity(skewed_edge.cod))
+
+
+def test_fpc_refuses_a_non_natural_match(skewed_edge):
+    with pytest.raises(ValueError, match="need a natural rule leg and match"):
+        final_pullback_complement(identity(skewed_edge.dom), skewed_edge)
+
+
 def test_fpc_vertex_deletion_cascades(graph):
     g = make_instance(graph, {"V": 3, "E": 2}, {"src": [1, 2], "tgt": [2, 3]})
     l_inst = make_instance(graph, {"V": 1}, {})

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from csetrw import colimits
+from csetrw import instance as instance_module
 from csetrw.errors import InvalidInstanceError, PartOutOfRangeError
 from csetrw.instance import (
     CardViolation,
@@ -28,6 +30,13 @@ from csetrw.search import is_isomorphic
 from csetrw.transform import Transformation
 
 from oracles import random_acyclic_schema, random_closed_parts, random_instance
+
+
+@pytest.mark.parametrize("module", [instance_module, colimits], ids=lambda m: m.__name__)
+def test_built_instances_are_validated_under_test(module, graph):
+    """The suite's fixture checks what `_trusted` builds, wherever it is looked up."""
+    with pytest.raises(pytest.fail.Exception, match="invalid instance"):
+        module._trusted(graph, {"V": 1, "E": 1}, {"src": [2], "tgt": [1]})
 
 
 def test_make_instance_builds_indices(small_graph):

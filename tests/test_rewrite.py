@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from csetrw import colimits
 from csetrw import instance as instance_module
 from csetrw.colimits import Classifier, _into_restriction, check_pushout_complement, pushout
 from csetrw.errors import (
@@ -86,6 +87,13 @@ def test_dpo_rejects_unnatural_match(graph, small_graph):
     bad = Transformation(small_graph, small_graph, {"V": [1, 1, 1], "E": [1, 2, 3]})
     with pytest.raises(MatchNotNaturalError):
         rewrite_dpo(rule, bad)
+
+
+def test_rule_refuses_non_natural_legs_when_built(graph, small_graph):
+    edge = make_instance(graph, {"V": 2, "E": 1}, {"src": [1], "tgt": [2]})
+    skewed = Transformation(edge, small_graph, {"V": [1, 2], "E": [2]})  # edge 2 runs 2 -> 3
+    with pytest.raises(ValueError, match="rule legs must be natural"):
+        Rule(identity(edge), skewed, kind=DPO)
 
 
 def test_dpo_edge_flip(two_triangles):
@@ -394,7 +402,10 @@ def classifier_builds(monkeypatch):
     return built
 
 
-def test_sqpo_builds_each_classifier_once_per_rule(d2, triangle, classifier_builds):
+def test_sqpo_builds_each_classifier_once_per_rule(d2, triangle, classifier_builds, monkeypatch):
+    maps_built = []
+    build_map = colimits.classifier_map
+    monkeypatch.setattr(colimits, "classifier_map", lambda *a: maps_built.append(a[2]) or build_map(*a))
     lhs = make_instance(d2, {"V": 1}, {})
     interface = make_instance(d2, {"V": 2}, {})
     rule = Rule(Transformation(interface, lhs, {"V": [1, 1]}), identity(interface), kind=SQPO)
@@ -402,6 +413,7 @@ def test_sqpo_builds_each_classifier_once_per_rule(d2, triangle, classifier_buil
         rewrite_sqpo(rule, Transformation(lhs, triangle, {"V": [v]}))
     assert len(classifier_builds) == 2
     assert classifier_builds[0] is lhs and classifier_builds[1] is interface
+    assert len(maps_built) == 1 and maps_built[0] is rule.l
 
 
 def test_parsing_and_constructing_build_no_classifier(d2, classifier_builds):

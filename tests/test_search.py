@@ -43,6 +43,13 @@ def test_is_natural_detects_mismatch(small_graph):
     assert any(v.part == 1 for v in violations)
 
 
+def test_transformation_refuses_components_of_the_wrong_length_or_range(small_graph):
+    with pytest.raises(ValueError, match="component for 'V' has wrong length"):
+        Transformation(small_graph, small_graph, {"V": [1]})
+    with pytest.raises(ValueError, match="component for 'V' sends 2 outside 1..3"):
+        Transformation(small_graph, small_graph, {"V": [1, 4, 3], "E": [1, 2, 3]})
+
+
 def test_is_natural_vacuous_from_empty(graph, small_graph):
     t = Transformation(empty_instance(graph), small_graph, {})
     assert is_natural(t) == []

@@ -20,12 +20,14 @@ deletion closure follows a generator on a cycle.
 
 Every case gives one canonical JSON record: the input instances, the
 instances the library built, the maps between them and any other data
-(match lists, refusals). By default the records of the two sides must be
-byte-identical. With --iso a record that differs still passes when the
-inputs and data agree and the built instances of one side are isomorphic
-to the other's by isomorphisms that carry every recorded map onto its
-counterpart. The report gives counts per family and the first differing
-case of each, and the exit status is 1 if any case differs.
+(match lists, refusals, and the violations `validate_instance` finds in
+any built instance, since the library does not check what it builds).
+By default the records of the two sides must be byte-identical. With
+--iso a record that differs still passes when the inputs and data agree
+and the built instances of one side are isomorphic to the other's by
+isomorphisms that carry every recorded map onto its counterpart. The
+report gives counts per family and the first differing case of each,
+and the exit status is 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -70,8 +72,13 @@ class Record:
 
     def _name(self, x, fallback: str) -> str:
         if id(x) not in self._names:
+            from csetrw import validate_instance
+
             self._names[id(x)] = fallback, x
             self.built[fallback] = _inst(x)
+            violations = validate_instance(x)
+            if violations:
+                self.data.setdefault("invalid", {})[fallback] = [str(v) for v in violations]
         return self._names[id(x)][0]
 
     def map(self, name, t):
