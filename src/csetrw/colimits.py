@@ -2,14 +2,17 @@
 
 Everything here reduces to finite-set constructions applied one object at
 a time. Pushouts, coproducts and diagram colimits share one quotient of a
-disjoint union by union-find: summands stack in order (B before C;
-diagram nodes in declaration order) and classes are numbered by their
-smallest part, the numbering this module has always used. Python-level
-work there is one step per glued pair and one per node: an inline
-union-find with path halving over one flat list of slots, class ids laid
-down as runs of `range` between the slots that stopped being roots, and
-columns pushed down per summand with `map` and stripped of merged slots
-by one `compress`. Each output list is built once and kept as it is.
+disjoint union by union-find: summands stack in order (C before B for a
+pushout of B <- A -> C; diagram nodes in declaration order) and classes
+are numbered by their smallest part. Python-level work there is one step
+per glued pair and one per node: an inline union-find with path halving
+over one flat list of slots, class ids laid down as runs between the
+slots that stopped being roots, and columns pushed down per summand with
+`map` and stripped of merged slots by one `compress`. Where no slot of
+the first summand is merged, its parts keep their ids and its columns are
+copied, so a pushout along a monic f keeps C's numbering, appends B's
+unglued parts and costs C one list copy per column. Each output list is
+built once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages, and the partial map classifier decorates parts with
 subfunctors of representables. `pushout`, `pullback` and
@@ -17,8 +20,9 @@ subfunctors of representables. `pushout`, `pullback` and
 columns descend and every output is built with `_trusted`, unchecked.
 
 A pushout complement reads only what it deletes: the identification
-check walks B, and the dangling check and the restriction to D visit
-only the column entries that point at deleted or moved parts.
+check walks B, and one scan of each column of C, for the entries that
+point at deleted or moved parts, both finds the dangling ones and
+patches the restriction to D, which is built only when none dangle.
 
 A final pullback complement reads only the match's upward closure, the
 parts of G from which some path reaches the match, found by the
@@ -36,7 +40,7 @@ from itertools import accumulate, chain, compress
 from operator import attrgetter, itemgetter
 
 from .errors import ComplementViolationsError, NotMonicError
-from .instance import CSetInstance, _preimages, _restrict_removing, _trusted, deletion_closure
+from .instance import CSetInstance, _restrict_removing, _trusted, deletion_closure
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
 from .transform import Transformation, _adopt, identity, is_natural
@@ -90,6 +94,10 @@ def _quotient(
     image in j. Parts stack in summand order as slots 1..n and classes are
     numbered densely by their smallest slot. Returns the apex and, per
     summand, the class of each of its parts.
+
+    When no slot of the first summand is merged at an object, its parts
+    keep their ids there, and its column for a generator between two such
+    objects is copied, not looked up entry by entry.
     """
     schema = summands[0].schema
     if list(map(attrgetter("schema"), summands)).count(schema) != len(summands):  # tries `is` first
@@ -99,11 +107,14 @@ def _quotient(
     legs_by_obj: list[list[list[int]]] = []  # per object, each summand's leg
     lookups: dict[str, list] = {}  # per codomain object, each summand's part -> class
     roots: dict[str, bytearray | None] = {}  # per object, which stacked slots are roots
+    kept_first: dict[str, bool] = {}  # per object, whether the first summand keeps its ids
     for obj in schema.objects:
         # summand k holds slots starts[k] + 1 .. starts[k + 1]
         starts = list(accumulate(map(itemgetter(obj), cards), initial=0))
         n = starts[-1]
-        parent = list(range(n + 1))
+        # the ints 0..n are made once: parent and the class ids copy slices of them
+        base = list(range(n + 1))
+        parent = base[:]
         merged: list[int] = []  # slots that stopped being roots
         for i, j, f, g in glue:
             col = g[obj]
@@ -129,11 +140,12 @@ def _quotient(
         ids, kept = [0], bytearray(b"\1") * n
         for m, s in enumerate(merged):
             if s > len(ids):
-                ids += range(len(ids) - m, s - m)
+                ids += base[len(ids) - m : s - m]
             ids.append(ids[parent[s]])
             kept[s - 1] = 0
-        ids += range(len(ids) - len(merged), n + 1 - len(merged))
+        ids += base[len(ids) - len(merged) : n + 1 - len(merged)]
         card[obj], roots[obj] = n - len(merged), kept if merged else None
+        kept_first[obj] = not merged or merged[0] > starts[1]
         firsts = list(map((1).__add__, starts))
         legs_by_obj.append(list(map(ids.__getitem__, map(slice, firsts, firsts[1:]))))
         if schema.incoming(obj):  # lookup k sends part p to ids[starts[k] + p]
@@ -142,11 +154,18 @@ def _quotient(
     columns: dict[str, list[int]] = {}
     summand_columns = [x.column for x in summands]
     for gen in schema.generators:
-        cols = map(itemgetter(gen.name), summand_columns)
-        pushed = chain.from_iterable(map(map, lookups[gen.cod], cols))
-        # the inputs are natural, so a merged slot's image is its root's
-        mask = roots[gen.dom]
-        columns[gen.name] = list(pushed if mask is None else compress(pushed, mask))
+        first, *cols = map(itemgetter(gen.name), summand_columns)
+        lookup, mask = lookups[gen.cod], roots[gen.dom]
+        pushed = chain.from_iterable(map(map, lookup[1:], cols))
+        if kept_first[gen.dom] and kept_first[gen.cod]:
+            # the first summand's entries keep their places and values
+            out = first[:]
+            out += pushed if mask is None else compress(pushed, mask[len(first) :])
+        else:
+            pushed = chain(map(lookup[0], first), pushed)
+            # the inputs are natural, so a merged slot's image is its root's
+            out = list(pushed if mask is None else compress(pushed, mask))
+        columns[gen.name] = out
     # zipped with the summands too, so that a schema with no objects gives a leg each
     legs = [dict(zip(schema.objects, comps)) for comps in zip(*legs_by_obj, summands)]
     return _trusted(schema, card, columns), legs
@@ -155,15 +174,17 @@ def _quotient(
 def pushout(f: Transformation, g: Transformation) -> PushoutResult:
     """Pushout of B <-f- A -g-> C, componentwise over each object.
 
-    The apex quotients B + C by f(a) ~ g(a); apex parts are numbered
-    densely by the smallest member of their class (B parts first).
+    The apex quotients C + B by f(a) ~ g(a); apex parts are numbered
+    densely by the smallest member of their class, C's parts first. So
+    when f is monic, no two parts of C meet: C's parts keep their ids,
+    its columns are copied, and B's unglued parts are appended in order.
     """
     if f.dom != g.dom:
         raise ValueError("pushout requires a shared domain")
     if is_natural(f) or is_natural(g):
         raise ValueError("pushout legs must be natural")
     b, c = f.cod, g.cod
-    apex, (comp_b, comp_c) = _quotient([b, c], [(0, 1, f.comp, g.comp)])
+    apex, (comp_c, comp_b) = _quotient([c, b], [(1, 0, f.comp, g.comp)])
     return PushoutResult(apex, _adopt(b, apex, comp_b), _adopt(c, apex, comp_c), f, g)
 
 
@@ -290,8 +311,14 @@ class DanglingViolation:
         return f"surviving part {self.part} references a deleted part via {self.generator!r}"
 
 
-def _complement_pass(f: Transformation, g: Transformation) -> tuple[dict[str, set[int]], list]:
-    """Parts of C that A -f-> B -g-> C deletes, and the violated conditions."""
+def _complement(f: Transformation, g: Transformation) -> tuple[list, tuple | None]:
+    """The violated conditions for A -f-> B -g-> C and C's restriction.
+
+    Identification is checked by a walk of B. The parts of C that B
+    deletes then go to `_restrict_removing`, whose one scan of each
+    column finds the dangling entries; the restriction is built only
+    when there are none.
+    """
     if f.cod != g.dom:
         raise ValueError("check requires composable transformations")
     if not f.is_monic():
@@ -314,11 +341,10 @@ def _complement_pass(f: Transformation, g: Transformation) -> tuple[dict[str, se
                     out.append(IdentificationViolation(obj, first, part))
             else:
                 seen[image] = part
-    for gen in schema.generators:
-        for i in _preimages(c.column[gen.name], deleted[gen.cod]):
-            if i + 1 not in deleted[gen.dom]:
-                out.append(DanglingViolation(gen.name, i + 1))
-    return deleted, out
+    dangling: list[tuple[str, int]] = []
+    restriction = _restrict_removing(c, deleted, dangling)
+    out += [DanglingViolation(gen, part) for gen, part in dangling]
+    return out, restriction
 
 
 def check_pushout_complement(f: Transformation, g: Transformation) -> list:
@@ -328,7 +354,7 @@ def check_pushout_complement(f: Transformation, g: Transformation) -> list:
     Dangling: a part of C whose image under some column is slated for
     deletion must itself be slated for deletion.
     """
-    return _complement_pass(f, g)[1]
+    return _complement(f, g)[0]
 
 
 def pushout_complement(
@@ -340,10 +366,10 @@ def pushout_complement(
     the returned maps are A -> D and the (monic) inclusion D -> C. Raises
     ComplementViolationsError with the check's violations otherwise.
     """
-    deleted, violations = _complement_pass(f, g)
+    violations, restriction = _complement(f, g)
     if violations:
         raise ComplementViolationsError(violations)
-    _, d_to_c, moved = _restrict_removing(g.cod, deleted)
+    _, d_to_c, moved = restriction
     return _into_restriction(f.compose(g), d_to_c, moved), d_to_c
 
 

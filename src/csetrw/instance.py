@@ -2,10 +2,11 @@
 
 Parts of each object are the integers 1..card; every generator is one
 total column of codomain part ids. The preimage index is built on first
-use and cached on the instance, so incidence queries cost O(answer) and
-instances nobody searches or walks backwards never pay for it. Search and
-`incident` read it; `deletion_closure`, the one upward closure behind SPO
-and final pullback complements, reads it only on a cyclic schema.
+use and cached on the instance, one generator at a time, so incidence
+queries cost O(answer) and instances nobody searches or walks backwards
+never pay for it. Search and `incident` read it; `deletion_closure`, the
+one upward closure behind SPO and final pullback complements, reads it
+only for the generators on a cycle of the schema.
 `restrict` is the one subinstance constructor; it numbers the kept parts
 swap-last, as deletion in place would.
 
@@ -16,8 +17,9 @@ the tests validate those. Work that touches every part is done a column
 at a time at C level: `validate_instance` checks ranges with `min`/`max`
 and each equation as two composed columns, and `restrict` copies each
 column and patches only the entries of moved parts and those pointing
-at dropped or moved parts. Walks part by part happen only where a
-violation is reported.
+at dropped or moved parts, found by one scan that also finds the entries
+that would dangle; it refuses those before it builds anything. Walks
+part by part happen only where a violation is reported.
 """
 
 from __future__ import annotations
@@ -81,7 +83,10 @@ class CSetInstance:
 
     @cached_property
     def index(self) -> dict[str, list[list[int]]]:
-        """Per generator, the ascending preimage list of each codomain part."""
+        """Per generator, the ascending preimage list of each codomain part.
+
+        Each generator's lists are built on its first lookup.
+        """
         return build_index(self)
 
     @cached_property
@@ -167,14 +172,24 @@ def _evaluate(x: CSetInstance, path: SchemaPath, shifted: dict[str, list[int]]) 
     return values
 
 
-def build_index(x: CSetInstance) -> dict[str, list[list[int]]]:
-    index: dict[str, list[list[int]]] = {}
-    for gen in x.schema.generators:
-        buckets: list[list[int]] = [[] for _ in range(x.card[gen.cod])]
-        for part, value in enumerate(x.column[gen.name], start=1):
+class _PreimageIndex(dict):
+    """Per generator name, the preimage lists of x's column, each built on first lookup."""
+
+    def __init__(self, x: CSetInstance):
+        super().__init__()
+        self.schema, self.card, self.column = x.schema, x.card, x.column  # not x: no cycle
+
+    def __missing__(self, name: str) -> list[list[int]]:
+        buckets: list[list[int]] = [[] for _ in range(self.card[self.schema.generator(name).cod])]
+        for part, value in enumerate(self.column[name], start=1):
             buckets[value - 1].append(part)
-        index[gen.name] = buckets
-    return index
+        self[name] = buckets
+        return buckets
+
+
+def build_index(x: CSetInstance) -> dict[str, list[list[int]]]:
+    """x's preimage index; a generator's lists are built when it is first looked up."""
+    return _PreimageIndex(x)
 
 
 def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dict[str, list[int]]) -> CSetInstance:
@@ -212,8 +227,9 @@ def restrict(x: CSetInstance, kept: dict[str, set[int]]):
 
     Parts are numbered as deleting the others in place would number
     them: highest first, each freed slot takes the current last part.
-    Raises ValueError if `kept` is not closed under the columns and
-    PartOutOfRangeError if it names a part that does not exist.
+    Raises ValueError, before anything is built, if `kept` is not closed
+    under the columns and PartOutOfRangeError if it names a part that
+    does not exist.
     """
     removed = {}
     for obj in x.schema.objects:
@@ -224,14 +240,18 @@ def restrict(x: CSetInstance, kept: dict[str, set[int]]):
     return _restrict_removing(x, removed)[:2]
 
 
-def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]]):
+def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: list | None = None):
     """`restrict` given the parts to drop, each in 1..card.
 
     For callers that already hold the deleted parts. Returns the
     subinstance, its inclusion and, per object, the kept parts that
     moved as {old id: new id}; every other kept part keeps its id. Each
-    column is copied and only the entries of moved parts, or pointing at
-    dropped or moved parts, are patched.
+    column is copied and scanned once for the entries that point at
+    dropped or moved parts: that scan patches the entries of kept parts
+    and finds the kept parts that point at dropped ones, as (generator,
+    part) pairs in column order. If there are any, nothing is built:
+    they are appended to `dangling` and None is returned or, without a
+    `dangling` list, ValueError is raised.
     """
     from .transform import _adopt
 
@@ -251,16 +271,26 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]]):
         for slot, old in holder.items():
             slots[obj][slot - 1] = old
     columns: dict[str, list[int]] = {}
+    found: list[tuple[str, int]] = []
     for gen in x.schema.generators:
         col, gone, cod_moved = x.column[gen.name], removed.get(gen.cod, set()), moved[gen.cod]
+        dropped, dom_moved = removed.get(gen.dom, set()), moved[gen.dom]
         sub_col = col[: card[gen.dom]]
-        for old, slot in moved[gen.dom].items():
+        for old, slot in dom_moved.items():
             sub_col[slot - 1] = col[old - 1]
-        for i in _preimages(sub_col, set(gone).union(cod_moved)):
-            if sub_col[i] in gone:
-                raise ValueError(f"kept parts are not closed under column {gen.name!r}")
-            sub_col[i] = cod_moved[sub_col[i]]
+        for i in _preimages(col, set(gone).union(cod_moved)):
+            if i + 1 in dropped:
+                continue
+            if col[i] in gone:
+                found.append((gen.name, i + 1))
+            else:
+                sub_col[dom_moved.get(i + 1, i + 1) - 1] = cod_moved[col[i]]
         columns[gen.name] = sub_col
+    if found:
+        if dangling is None:
+            raise ValueError(f"kept parts are not closed under column {found[0][0]!r}")
+        dangling += found
+        return None
     sub = _trusted(x.schema, card, columns)
     return sub, _adopt(sub, x, slots), moved
 
@@ -280,9 +310,9 @@ def deletion_closure(x: CSetInstance, core: dict[str, set[int]]) -> dict[str, se
 
     Objects are visited sinks first, and each column is scanned once with
     `_preimages` after its codomain is settled. A generator on a cycle of
-    the schema is followed through the preimage index in a worklist
-    instead, so no index is built on an acyclic schema. Raises
-    PartOutOfRangeError for a core part outside 1..card.
+    the schema is followed through its preimage lists in a worklist
+    instead, so only such generators are indexed, and none on an acyclic
+    schema. Raises PartOutOfRangeError for a core part outside 1..card.
     """
     schema = x.schema
     closed = {obj: set(core.get(obj, ())) for obj in schema.objects}

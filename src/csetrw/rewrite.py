@@ -69,7 +69,10 @@ def _check_match(rule: Rule, match: Transformation) -> None:
 def _push_out_rhs(
     rule: Rule, match: Transformation, i_to_k: Transformation, k_to_g: Transformation
 ) -> RewriteOutcome:
-    """The second square of DPO and SqPO: push R out along I -> K."""
+    """The second square of DPO and SqPO: push R out along I -> K.
+
+    K's parts keep their ids when r is monic; the new parts follow them.
+    """
     po = pushout(rule.r, i_to_k)
     return RewriteOutcome(
         result=po.apex,

@@ -101,8 +101,9 @@ def test_pushout_coproduct_and_diagram_colimit_share_one_numbering():
             continue
         f, g = rng.choice(fs), rng.choice(gs)
         po = pushout(f, g)
-        # the apex of A stacks last, so every class's smallest part lies in B or C
-        span = Diagram([("B", b), ("C", c), ("A", a)], [("A", "B", f), ("A", "C", g)])
+        # a pushout stacks C before B; the apex of A stacks last, so every
+        # class's smallest part lies in C or B
+        span = Diagram([("C", c), ("B", b), ("A", a)], [("A", "B", f), ("A", "C", g)])
         apex, legs = diagram_colimit(span)
         assert apex == po.apex
         assert legs["B"] == po.leg_b and legs["C"] == po.leg_c
@@ -544,6 +545,32 @@ def test_quotient_agrees_with_plain_union_find():
         assert (apex.card, apex.column, legs) == plain_quotient(xs, glue)
         glued += bool(glue)
     assert glued > 150
+
+
+def test_pushout_copy_path_agrees_with_mapping_path():
+    """A pushout copies C's columns when no part of C merges; plain_quotient
+    pushes every entry. A non-monic f can merge parts of C, and then the
+    copy must not happen."""
+    rng = random.Random(47)
+    seen = {"monic f": 0, "parts of C merge": 0}
+    for _ in range(300):
+        schema = random_acyclic_schema(rng)
+        a, b, c = (random_instance(rng, schema, max_parts=n) for n in (2, 3, 3))
+        fs, gs = brute_homs(a, b), brute_homs(a, c)
+        if not fs or not gs:
+            continue
+        f, g = rng.choice(fs), rng.choice(gs)
+        po = pushout(f, g)
+        pairs = {o: list(zip(f.comp[o], g.comp[o])) for o in schema.objects}
+        card, columns, (leg_c, leg_b) = plain_quotient([c, b], [(1, 0, pairs)])
+        assert (po.apex.card, po.apex.column) == (card, columns)
+        assert (po.leg_c.comp, po.leg_b.comp) == (leg_c, leg_b)
+        keeps_ids = all(leg_c[o] == list(c.parts(o)) for o in schema.objects)
+        if f.is_monic():
+            assert keeps_ids
+            seen["monic f"] += 1
+        seen["parts of C merge"] += not keeps_ids
+    assert min(seen.values()) >= 20, seen
 
 
 def mesh_cells_diagram(mesh):

@@ -171,6 +171,43 @@ def test_restrict_requires_closure(small_graph):
     assert incl.comp == {"V": [1, 2], "E": [1]}
 
 
+@pytest.fixture()
+def trusted_builds(monkeypatch):
+    """The instances `restrict` builds, in order."""
+    built = []
+    trusted = instance_module._trusted
+
+    def counting(schema, card, columns):
+        built.append(trusted(schema, card, columns))
+        return built[-1]
+
+    monkeypatch.setattr(instance_module, "_trusted", counting)
+    return built
+
+
+def test_restrict_refuses_before_it_builds(small_graph, trusted_builds):
+    # edges 2 and 3 are kept, but the vertex 3 they point at is not
+    with pytest.raises(ValueError, match="not closed under column 'tgt'"):
+        restrict(small_graph, {"V": {1, 2}, "E": {1, 2, 3}})
+    assert trusted_builds == []
+    restrict(small_graph, {"V": {1, 2}, "E": {1}})
+    assert len(trusted_builds) == 1
+
+
+def test_refused_pushout_complement_builds_nothing(small_graph, trusted_builds):
+    # deleting vertex 2 leaves all three edges dangling, in column order
+    point = make_instance(small_graph.schema, {"V": 1}, {})
+    empty = empty_instance(small_graph.schema)
+    f = Transformation(empty, point, {})
+    g = Transformation(point, small_graph, {"V": [2]})
+    expected = [colimits.DanglingViolation(*v) for v in (("src", 2), ("src", 3), ("tgt", 1))]
+    assert colimits.check_pushout_complement(f, g) == expected
+    with pytest.raises(colimits.ComplementViolationsError) as err:
+        colimits.pushout_complement(f, g)
+    assert err.value.violations == expected
+    assert trusted_builds == []
+
+
 def walk_validate(x: CSetInstance) -> list:
     """validate_instance's records by the part-by-part walk it replaced."""
     out: list = [CardViolation(o, x.card[o]) for o in x.schema.objects if x.card[o] < 0]

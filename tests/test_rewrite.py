@@ -289,6 +289,17 @@ def test_deletion_closure_follows_a_long_loop():
     assert closed == {"V": set(), "E": set(range(1, n + 1))}
 
 
+def test_deletion_closure_indexes_only_generators_on_a_cycle():
+    x = make_instance(
+        loop_graph_schema(),
+        {"V": 2, "E": 3},
+        {"src": [1, 1, 2], "tgt": [2, 2, 1], "next": [2, 3, 3]},
+    )
+    assert deletion_closure(x, {"E": {2}}) == {"V": set(), "E": {1, 2}}
+    assert deletion_closure(x, {"V": {1}}) == {"V": {1}, "E": {1, 2, 3}}
+    assert "next" in x.index and "src" not in x.index and "tgt" not in x.index
+
+
 @pytest.mark.parametrize("part", [0, -1, 4, 7])
 def test_deletion_closure_refuses_parts_out_of_range(graph, part):
     path = make_instance(graph, {"V": 3, "E": 2}, {"src": [1, 2], "tgt": [2, 3]})

@@ -25,7 +25,11 @@ any built instance, since the library does not check what it builds).
 By default the records of the two sides must be byte-identical. With
 --iso a record that differs still passes when the inputs and data agree
 and the built instances of one side are isomorphic to the other's by
-isomorphisms that carry every recorded map onto its counterpart. The
+isomorphisms that carry every recorded map onto its counterpart; the
+instances that maps join are matched as one group, each group on its
+own. A rewrite chain picks each step's match by labels carried through
+the previous steps' maps, not by part numbers, so that two versions that
+number parts differently still rewrite at corresponding matches. The
 report gives counts per family and the first differing case of each,
 and the exit status is 1 if any case differs.
 """
@@ -293,11 +297,58 @@ def case_rewrite(rng, kind):
     return rec
 
 
+def _carry_labels(label: dict, out) -> dict:
+    """Labels of the parts of a step's result, from the host's labels.
+
+    A part of K is labelled by its host part's label, its interface
+    preimages and the labels of its column images; a result part by the
+    sorted labels of the K and R parts the step sends to it. Each object's
+    labels are then replaced by their ranks. Isomorphic steps label
+    corresponding parts alike, whatever their part numbers.
+    """
+    k, maps = out.k, out.maps
+    schema = k.schema
+    if "interface_to_k" in maps:  # SPO: the interface is a piece J of I
+        j_to_i, j_to_k = maps["interface_to_i"].comp, maps["interface_to_k"].comp
+        interface = {o: list(zip(j_to_i[o], j_to_k[o])) for o in schema.objects}
+        r_ids = maps["r_kept"].comp
+    else:
+        interface = {o: list(enumerate(maps["i_to_k"].comp[o], start=1)) for o in schema.objects}
+        r_ids = {o: list(maps["r_to_result"].dom.parts(o)) for o in schema.objects}
+    k_label: dict = {}
+    for obj in schema.sources_first[::-1]:
+        preimages = [[] for _ in k.parts(obj)]
+        for i, part in sorted(interface[obj]):
+            preimages[part - 1].append(i)
+        structural = []
+        for part, (g, pre) in enumerate(zip(maps["k_to_g"].comp[obj], preimages), start=1):
+            images = tuple(k_label[gen.cod][k.column[gen.name][part - 1] - 1] for gen in schema.outgoing(obj))
+            structural.append((label[obj][g - 1], tuple(pre), images))
+        k_label[obj] = _ranks(structural)
+    result_label = {}
+    for obj in schema.objects:
+        sources = [[] for _ in out.result.parts(obj)]
+        for part, image in enumerate(maps["k_to_result"].comp[obj]):
+            sources[image - 1].append((0, k_label[obj][part]))
+        for r, image in zip(r_ids[obj], maps["r_to_result"].comp[obj]):
+            sources[image - 1].append((1, r))
+        result_label[obj] = _ranks([tuple(sorted(x)) for x in sources])
+    return result_label
+
+
+def _ranks(labels: list) -> list[int]:
+    rank = {x: i for i, x in enumerate(sorted(set(labels)), start=1)}
+    return [rank[x] for x in labels]
+
+
 def case_chain(rng):
     """One random rule under DPO, SPO and SqPO, each result the next host.
 
     Each step rewrites at the first applicable match in a seeded shuffle
     of all matches (monic ones for SqPO); a chain with none stops there.
+    The matches are first sorted by the labels `_carry_labels` gives the
+    host's parts, so that two versions whose steps differ only in part
+    numbers choose corresponding matches.
     """
     from csetrw import ComplementViolationsError, Rule, SearchOptions, homomorphisms, rewrite
 
@@ -307,10 +358,13 @@ def case_chain(rng):
         rec.fix(name, x)
     rec.map("l", base.l)
     rec.map("r", base.r)
+    objects = g.schema.objects
     for kind in ("dpo", "spo", "sqpo"):
         rule, host = Rule(base.l, base.r, kind=kind), g
+        label = {o: list(g.parts(o)) for o in objects}
         for step in range(CHAIN_STEPS):
             matches = homomorphisms(rule.lhs, host, SearchOptions(monic=kind == "sqpo"))
+            matches.sort(key=lambda m: [label[o][v - 1] for o in objects for v in m.comp[o]])
             rng.shuffle(matches)
             for match in matches:
                 try:
@@ -322,7 +376,7 @@ def case_chain(rng):
                 rec.data[f"{kind} stuck at step"] = step
                 break
             rec.outcome(f"{kind}{step}.", out)
-            host = out.result
+            host, label = out.result, _carry_labels(label, out)
     return rec
 
 
@@ -526,7 +580,12 @@ def _instance(schema, doc):
 
 
 def isomorphic_records(a: dict, b: dict) -> bool:
-    """Built instances of a and b related by isomorphisms that carry maps across."""
+    """Built instances of a and b related by isomorphisms that carry maps across.
+
+    Built instances that no chain of maps joins are matched one group at
+    a time, each by a depth-first search with an explicit stack, so a
+    failure in one group never backtracks through another.
+    """
     from csetrw import SearchOptions, homomorphisms
 
     if (a["schema"], a["fixed"], a["data"]) != (b["schema"], b["fixed"], b["data"]):
@@ -541,6 +600,10 @@ def isomorphic_records(a: dict, b: dict) -> bool:
         for name, doc in a["fixed"].items()
     }
     maps = [(dom, cod, ca, b["maps"][m][2]) for m, (dom, cod, ca) in a["maps"].items()]
+    ends = {x: [] for x in a["built"]}  # the maps into or out of each built instance
+    for m in maps:
+        for x in {m[0], m[1]} & ends.keys():
+            ends[x].append(m)
 
     def commutes(dom, cod, ca, cb) -> bool:
         return all(
@@ -550,7 +613,7 @@ def isomorphic_records(a: dict, b: dict) -> bool:
     def pins(x):
         """Parts of x whose image the maps to and from assigned instances force."""
         out: dict[str, dict[int, int]] = {o: {} for o in objects}
-        for dom, cod, ca, cb in maps:
+        for dom, cod, ca, cb in ends[x]:
             for o in objects:
                 if cod == x and dom in phi:
                     forced = [(v, cb[o][phi[dom][o][i] - 1]) for i, v in enumerate(ca[o])]
@@ -569,23 +632,52 @@ def isomorphic_records(a: dict, b: dict) -> bool:
                         return None
         return out
 
-    def solve(todo: list[str]) -> bool:
-        if not todo:
-            return all(commutes(*m) for m in maps)
-        x = max(todo, key=lambda n: sum(n in m[:2] and (m[0] in phi or m[1] in phi) for m in maps))
+    def isomorphisms(x):
+        """The isomorphisms between x's two versions that respect the pins."""
         xa, xb = _instance(a["schema"], a["built"][x]), _instance(a["schema"], b["built"][x])
         forced = pins(x)
         if forced is None or xa.card != xb.card:
-            return False
-        rest = [n for n in todo if n != x]
-        for iso in homomorphisms(xa, xb, SearchOptions(monic=True, initial=forced)):
+            return iter(())
+        return iter(homomorphisms(xa, xb, SearchOptions(monic=True, initial=forced)))
+
+    def advance(x, isos) -> bool:
+        """Give x its next isomorphism that fits the assigned ones, if any is left."""
+        for iso in isos:
             phi[x] = iso.comp
-            if all(commutes(*m) for m in maps if m[0] in phi and m[1] in phi) and solve(rest):
+            if all(commutes(*m) for m in ends[x] if m[0] in phi and m[1] in phi):
                 return True
         phi.pop(x, None)
         return False
 
-    return solve(list(a["built"]))
+    def solve(group: list[str]) -> bool:
+        todo, stack = list(group), []
+        while todo:
+            # the instance with the most maps to assigned ones goes next
+            x = max(todo, key=lambda n: sum(m[0] in phi or m[1] in phi for m in ends[n]))
+            todo.remove(x)
+            stack.append((x, isomorphisms(x)))
+            while stack and not advance(*stack[-1]):
+                todo.append(stack.pop()[0])
+            if not stack:
+                return False
+        return True
+
+    if not all(commutes(*m) for m in maps if m[0] in phi and m[1] in phi):
+        return False
+    root = {x: x for x in a["built"]}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for dom, cod, _, _ in maps:
+        if dom in root and cod in root:
+            root[find(dom)] = find(cod)
+    groups: dict[str, list[str]] = {}
+    for x in a["built"]:
+        groups.setdefault(find(x), []).append(x)
+    return all(map(solve, groups.values()))
 
 
 def run_side(src: Path) -> dict[tuple[str, int], str]:
