@@ -40,7 +40,7 @@ from itertools import accumulate, chain, compress
 from operator import attrgetter, itemgetter
 
 from .errors import ComplementViolationsError, NotMonicError
-from .instance import CSetInstance, _restrict_removing, _trusted, deletion_closure
+from .instance import CSetInstance, _naturals, _restrict_removing, _trusted, deletion_closure
 from .schema import PathUniverse, SchemaPath
 from .search import homomorphisms
 from .transform import Transformation, _adopt, identity, is_natural
@@ -112,9 +112,9 @@ def _quotient(
         # summand k holds slots starts[k] + 1 .. starts[k + 1]
         starts = list(accumulate(map(itemgetter(obj), cards), initial=0))
         n = starts[-1]
-        # the ints 0..n are made once: parent and the class ids copy slices of them
-        base = list(range(n + 1))
-        parent = base[:]
+        # parent and the class ids copy slices of the shared ints 0..n
+        base = _naturals(n)
+        parent = base[: n + 1]
         merged: list[int] = []  # slots that stopped being roots
         for i, j, f, g in glue:
             col = g[obj]

@@ -209,6 +209,17 @@ def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dic
 
 _trusted = CSetInstance  # (schema, card, columns), kept as they are and unchecked
 
+_NATURALS = list(range(1025))
+
+
+def _naturals(n: int) -> list[int]:
+    """One shared list starting 0, 1, ..., n, to slice, never change: slices reuse its ints."""
+    global _NATURALS
+    naturals = _NATURALS
+    if len(naturals) <= n:
+        naturals = _NATURALS = list(range(2 * n + 1))
+    return naturals
+
 
 def empty_instance(schema: SchemaPresentation) -> CSetInstance:
     return make_instance(schema, {}, {})
@@ -267,7 +278,7 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: 
             if last != part:
                 holder[part] = last
         card[obj], moved[obj] = n, {old: slot for slot, old in holder.items()}
-        slots[obj] = list(range(1, n + 1))
+        slots[obj] = _naturals(n)[1 : n + 1]
         for slot, old in holder.items():
             slots[obj][slot - 1] = old
     columns: dict[str, list[int]] = {}

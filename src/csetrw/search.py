@@ -15,15 +15,18 @@ preimage index are branched on, and each of the latter draws its
 candidates from the host's preimage index of its already assigned
 target. Candidates come in ascending order and results are sorted, so
 the result list does not depend on the branching order; `limit` keeps
-the first matches found in that order, then sorts them. Branching and
-propagation run on explicit stacks, so pattern size is not bounded by
-the interpreter's recursion limit.
+the first matches found in that order, then sorts them. With the order
+fixed, so is what each branching step forces and checks: after the pins,
+each search compiles its order into a plan of straight-line steps, run
+on an explicit stack, so pattern size is not bounded by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import PartOutOfRangeError
 from .instance import CSetInstance
@@ -37,18 +40,17 @@ class SearchOptions:
     limit: int | None = None
 
 
-def _branch_order(x: CSetInstance) -> list[tuple[str, int]]:
+def _branch_order(x: CSetInstance) -> Iterator[tuple[str, int]]:
     """The pattern parts the search branches on, in branching order."""
     schema, column, index = x.schema, x.column, x.index
     seen = {obj: [False] * n for obj, n in x.card.items()}
-    order: list[tuple[str, int]] = []
     for root_obj in schema.sources_first:
         root_seen = seen[root_obj]
         for root in range(1, len(root_seen) + 1):
             if root_seen[root - 1]:
                 continue
             root_seen[root - 1] = True
-            order.append((root_obj, root))
+            yield root_obj, root
             queue = [(root_obj, root)]
             for obj, part in queue:
                 for gen in schema.outgoing(obj):
@@ -60,130 +62,146 @@ def _branch_order(x: CSetInstance) -> list[tuple[str, int]]:
                     for q in index[gen.name][part - 1]:
                         if not seen[gen.dom][q - 1]:
                             seen[gen.dom][q - 1] = True
-                            order.append((gen.dom, q))
+                            yield gen.dom, q
                             queue.append((gen.dom, q))
-    return order
 
 
 class _Search:
     def __init__(self, x: CSetInstance, y: CSetInstance, opts: SearchOptions):
-        self.x = x
-        self.y = y
-        self.opts = opts
-        self.assign = {obj: [0] * x.card[obj] for obj in x.schema.objects}
-        self.used = {obj: [False] * y.card[obj] for obj in x.schema.objects} if opts.monic else None
-        self.trail: list[tuple[str, int]] = []
-        # per object: (codomain, pattern column, host column, host preimage index)
-        self.out = {
-            obj: [
-                (g.cod, x.column[g.name], y.column[g.name], y.index[g.name])
-                for g in x.schema.outgoing(obj)
-            ]
-            for obj in x.schema.objects
-        }
-        self.results: list[Transformation] = []
+        self.x, self.y, self.opts = x, y, opts
+        # a slot per pattern part, each object's in a run, then one for the value tried
+        objects = x.schema.objects
+        self.offset = dict(zip(objects, accumulate((x.card[obj] for obj in objects), initial=0)))
+        self.assign = [0] * (sum(x.card[obj] for obj in objects) + 1)
+        self.known = [False] * len(self.assign)  # assigned by a pin or an earlier step
+        self.used = {obj: [False] * y.card[obj] for obj in objects} if opts.monic else None
+        self.results: list[list[int]] = []
 
-    def _set(self, obj: str, part: int, value: int) -> bool:
-        """Assign part -> value and propagate along all outgoing columns."""
-        assign, used, out, trail = self.assign, self.used, self.out, self.trail
-        pending = [(obj, part, value)]
-        while pending:
-            obj, part, value = pending.pop()
-            current = assign[obj][part - 1]
-            if current:
-                if current != value:
+    def _step(self, obj: str, part: int) -> tuple:
+        """The fixed step that branches on an unassigned part; marks what it assigns.
+
+        A step is its candidates, (slot of the first assigned target, host
+        index) or (None, all host parts); the writes (source slot, host
+        column, slot, used marks) of its part, from the value tried, and
+        of the parts that forces, breadth-first; and the checks (source
+        slot, host column, slot) on assigned parts its candidates do not imply.
+        """
+        x, y, offset, known, used = self.x, self.y, self.offset, self.known, self.used
+        slot, every = offset[obj] + part - 1, range(1, y.card[obj] + 1)
+        narrowed, candidates = None, (None, every)
+        for g in x.schema.outgoing(obj):
+            d = offset[g.cod] + x.column[g.name][part - 1] - 1
+            if known[d]:
+                narrowed, candidates = g.name, (d, y.index[g.name])
+                break
+        known[slot] = True
+        writes, checks = [(-1, every, slot, used and used[obj])], []
+        queue = [(obj, part, slot)]
+        for src_obj, src, s in queue:
+            for g in x.schema.outgoing(src_obj):
+                if s == slot and g.name == narrowed:
+                    continue
+                q = x.column[g.name][src - 1]
+                d = offset[g.cod] + q - 1
+                if known[d]:
+                    checks.append((s, y.column[g.name], d))
+                else:
+                    known[d] = True
+                    writes.append((s, y.column[g.name], d, used and used[g.cod]))
+                    queue.append((g.cod, q, d))
+        return *candidates, writes, checks
+
+    def _try(self, step: tuple, value: int) -> bool:
+        """Run the step's writes from `value`, then its checks."""
+        _, _, writes, checks = step
+        assign = self.assign
+        assign[-1] = value
+        for s, col, d, mark in writes:
+            v = col[assign[s] - 1]
+            if mark:
+                if mark[v - 1]:
                     return False
-                continue
-            if used is not None:
-                if used[obj][value - 1]:
-                    return False
-                used[obj][value - 1] = True
-            assign[obj][part - 1] = value
-            trail.append((obj, part))
-            for cod, x_col, y_col, _ in out[obj]:
-                pending.append((cod, x_col[part - 1], y_col[value - 1]))
+                mark[v - 1] = True
+            assign[d] = v
+        for s, col, d in checks:
+            if col[assign[s] - 1] != assign[d]:
+                return False
         return True
 
-    def _undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            obj, part = self.trail.pop()
-            value = self.assign[obj][part - 1]
-            self.assign[obj][part - 1] = 0
-            if self.used is not None:
-                self.used[obj][value - 1] = False
-
-    def _values(self, obj: str, part: int):
-        """Candidate host parts, narrowed through the preimage indices.
-
-        Every outgoing column whose forced target is already assigned
-        restricts the value to an indexed preimage list; intersecting
-        those keeps ascending order, so enumeration stays deterministic.
-        """
-        narrowed: list[int] | None = None
-        for cod, x_col, _, y_index in self.out[obj]:
-            target = self.assign[cod][x_col[part - 1] - 1]
-            if not target:
-                continue
-            preimages = y_index[target - 1]
-            if narrowed is None:
-                narrowed = preimages
-            else:
-                keep = set(preimages)
-                narrowed = [v for v in narrowed if v in keep]
-            if not narrowed:
-                return []
-        if narrowed is None:
-            return range(1, self.y.card[obj] + 1)
-        return narrowed
+    def _clear(self, step: tuple) -> None:
+        assign = self.assign
+        for _, _, d, mark in step[2]:
+            v = assign[d]
+            if v:
+                mark[v - 1] = False
+                assign[d] = 0
 
     def run(self) -> list[Transformation]:
         limit = self.opts.limit
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be at least 0, got {limit}")
-        if self.opts.initial:
-            for obj, pins in self.opts.initial.items():
-                for part in pins:
-                    if not 1 <= part <= self.x.card[obj]:
-                        raise PartOutOfRangeError(
-                            f"pinned pattern part {part} outside 1..{self.x.card[obj]} for {obj!r}"
-                        )
-            for obj, pins in self.opts.initial.items():
-                for part, value in pins.items():
-                    if not (1 <= value <= self.y.card[obj] and self._set(obj, part, value)):
-                        return []
+        x, y, offset, assign = self.x, self.y, self.offset, self.assign
+        pins = self.opts.initial or {}
+        for obj, parts in pins.items():
+            if obj not in offset:
+                raise ValueError(f"pinned object {obj!r} is not in the schema")
+            for part in parts:
+                if not 1 <= part <= x.card[obj]:
+                    raise PartOutOfRangeError(
+                        f"pinned pattern part {part} outside 1..{x.card[obj]} for {obj!r}"
+                    )
+        # each pin is a one-candidate step, or a check if an earlier pin forced its part
+        for obj, parts in pins.items():
+            for part, value in parts.items():
+                slot = offset[obj] + part - 1
+                if self.known[slot]:
+                    ok = assign[slot] == value
+                else:
+                    step = d, index, _, _ = self._step(obj, part)
+                    ok = value in (index if d is None else index[assign[d] - 1]) and self._try(step, value)
+                if not ok:
+                    return []
         if limit != 0:
-            self._branch(_branch_order(self.x))
-        self.results.sort(key=lambda t: tuple(tuple(t.comp[o]) for o in self.x.schema.objects))
-        return self.results
+            known = self.known
+            self._branch([self._step(o, p) for o, p in _branch_order(x) if not known[offset[o] + p - 1]])
+        # comparing flat slot lists compares components by object, then part
+        self.results.sort()
+        spans = [(obj, offset[obj], x.card[obj]) for obj in x.schema.objects]
+        return [_adopt(x, y, {obj: a[i : i + n] for obj, i, n in spans}) for a in self.results]
 
-    def _branch(self, order: list[tuple[str, int]]) -> None:
-        """Depth-first enumeration over `order`, stopping at the limit.
+    def _branch(self, steps: list[tuple]) -> None:
+        """Depth-first enumeration over the steps, stopping at the limit.
 
-        Each frame holds a position in `order`, the iterator over its
-        candidates and the trail mark to undo to before the next one.
+        Under monic a step clears its slots and marks before each try and
+        when it runs out. Without monic nothing is cleared: a step writes
+        its slots before reading them, and reads earlier steps' slots.
         """
-        assign, limit = self.assign, self.opts.limit
-        frames: list[tuple[int, Iterator[int], int]] = []
-        pos = 0
+        assign, results, limit = self.assign, self.results, self.opts.limit
+        monic, try_, clear = self.used is not None, self._try, self._clear
+        tried: list[Iterator[int]] = [iter(())] * len(steps)  # per step, its candidates left
+        depth = 0  # steps entered
         while True:
-            while pos < len(order) and assign[order[pos][0]][order[pos][1] - 1]:
-                pos += 1
-            if pos == len(order):
-                comp = {obj: list(col) for obj, col in assign.items()}
-                self.results.append(_adopt(self.x, self.y, comp))
-                if limit is not None and len(self.results) >= limit:
+            if depth == len(steps):
+                results.append(assign[:-1])
+                if limit is not None and len(results) >= limit:
                     return
             else:
-                frames.append((pos, iter(self._values(*order[pos])), len(self.trail)))
-            while frames:
-                pos, values, mark = frames[-1]
-                self._undo(mark)
-                value = next(values, 0)
-                if not value:
-                    frames.pop()
-                elif self._set(*order[pos], value):
-                    pos += 1
-                    break
+                d, index, _, _ = steps[depth]
+                tried[depth] = iter(index if d is None else index[assign[d] - 1])
+                depth += 1
+            while depth:
+                step = steps[depth - 1]
+                if monic:
+                    clear(step)
+                for value in tried[depth - 1]:
+                    if try_(step, value):
+                        break
+                    if monic:
+                        clear(step)
+                else:
+                    depth -= 1
+                    continue
+                break
             else:
                 return
 
@@ -198,8 +216,9 @@ def homomorphisms(
     opts.monic only injective-per-object maps are returned; opts.limit
     stops the search after that many matches in branching order (see
     the module docstring), which are returned in the same fixed order;
-    it must be at least 0. A pin on a pattern part outside 1..card raises
-    PartOutOfRangeError; a pin to a missing host part finds nothing.
+    it must be at least 0. A pin on an object not in the schema raises
+    ValueError, on a pattern part outside 1..card PartOutOfRangeError; a
+    pin to a missing host part finds nothing.
     """
     if x.schema != y.schema:
         raise ValueError("homomorphism search requires a shared schema")

@@ -206,6 +206,41 @@ def random_instance(rng, schema: SchemaPresentation, max_parts: int = 3, min_par
     return make_instance(schema, card, columns)
 
 
+def random_pins(rng, x: CSetInstance, y: CSetInstance, homs: list[Transformation], count: int) -> dict[str, dict[int, int]]:
+    """Up to `count` search pins on parts of x, as `SearchOptions.initial` takes them.
+
+    After the first, each pin is as often as not on a part that an
+    earlier pin forces along a column. Half of the values follow one of
+    `homs`; a pin on a forced part may take the part after the forced
+    value, a conflict; the rest are random, and now and then one lies
+    just past y's parts.
+    """
+    parts = [(o, p) for o in x.schema.objects for p in x.parts(o)]
+    source = rng.choice(homs) if homs else None
+    pins: dict[str, dict[int, int]] = {}
+    for _ in range(count if parts else 0):
+        obj, part = rng.choice(parts)
+        forced = None  # the value an earlier pin forces on the part
+        if pins and rng.random() < 0.5:
+            o, p = rng.choice([(o, p) for o, ps in pins.items() for p in ps])
+            if x.schema.outgoing(o):
+                g = rng.choice(x.schema.outgoing(o))
+                obj, part = g.cod, x.column[g.name][p - 1]
+                if pins[o][p] <= y.card[o]:
+                    forced = y.column[g.name][pins[o][p] - 1]
+        r = rng.random()
+        if source is not None and r < 0.5:
+            value = source.comp[obj][part - 1]
+        elif forced is not None and r < 0.75:
+            value = forced % y.card[obj] + 1
+        elif r < 0.95:
+            value = rng.randint(1, max(y.card[obj], 1))
+        else:
+            value = y.card[obj] + 1
+        pins.setdefault(obj, {})[part] = value
+    return pins
+
+
 def random_closed_parts(rng, x: CSetInstance, keep_probability: float = 0.7) -> dict[str, set[int]]:
     sel = {
         o: {p for p in x.parts(o) if rng.random() < keep_probability}

@@ -12,7 +12,7 @@ from csetrw.mesh import gen_mesh, quad_pattern
 from csetrw.search import SearchOptions, homomorphisms, is_isomorphic
 from csetrw.transform import Transformation, identity, is_natural
 
-from oracles import brute_homs, random_acyclic_schema, random_cyclic_schema, random_instance
+from oracles import brute_homs, random_acyclic_schema, random_cyclic_schema, random_instance, random_pins
 
 
 @contextmanager
@@ -112,6 +112,27 @@ def test_initial_pins_check_pattern_parts(small_graph):
     for part in (0, 5):
         with pytest.raises(PartOutOfRangeError, match=f"part {part} outside 1..2 for 'V'"):
             homomorphisms(x, small_graph, SearchOptions(initial={"V": {part: 3}}))
+    with pytest.raises(ValueError, match="pinned object 'W' is not in the schema"):
+        homomorphisms(x, small_graph, SearchOptions(initial={"W": {1: 1}}))
+
+
+def test_pinned_search_agrees_with_brute_force():
+    rng = random.Random(37)
+    found = 0
+    for _ in range(80):
+        schema = random_acyclic_schema(rng) if rng.random() < 0.5 else random_cyclic_schema(rng)
+        x = random_instance(rng, schema, max_parts=3)
+        y = random_instance(rng, schema, max_parts=3)
+        for monic in (False, True):
+            homs = brute_homs(x, y, monic=monic)
+            pins = random_pins(rng, x, y, homs, rng.randint(1, 3))
+            expected = [
+                t for t in homs
+                if all(t.comp[o][p - 1] == v for o, ps in pins.items() for p, v in ps.items())
+            ]
+            assert homomorphisms(x, y, SearchOptions(monic=monic, initial=pins)) == expected
+            found += bool(expected)
+    assert found >= 40
 
 
 def test_determinism_and_order(small_graph):

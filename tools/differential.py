@@ -6,8 +6,10 @@ REV (a commit, branch or tag) is exported with `git archive` into a
 temporary directory; no network is used. Each side runs in its own
 interpreter with its own `src/` first on the import path, and both draw
 their inputs from this checkout's `tests/oracles.py` with the same seeds:
-homomorphisms (plain, monic, pinned, limited), `is_isomorphic`, pushouts,
-pullbacks, `restrict`, pushout complements and their refusals, `rewrite`
+homomorphisms (plain, monic, limited, and pinned: half of these cases
+are drawn over a cyclic schema and carry 2 or 3 pins, which may force
+or contradict each other), `is_isomorphic`, pushouts, pullbacks,
+`restrict`, pushout complements and their refusals, `rewrite`
 and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
 that feed each result back as the next host, the partial map
 classifier, `diagram_colimit` with `coproduct` (small diagrams, and
@@ -147,11 +149,12 @@ def _some_hom(rng, x, y):
 
 
 def case_homs(rng):
-    from oracles import random_acyclic_schema
+    from oracles import brute_homs, random_acyclic_schema, random_cyclic_schema, random_pins
 
     from csetrw import SearchOptions, homomorphisms, is_isomorphic
 
-    schema = random_acyclic_schema(rng)
+    cyclic = rng.random() < 0.5
+    schema = random_cyclic_schema(rng) if cyclic else random_acyclic_schema(rng)
     x = _small(rng, schema, 5, max_parts=2)
     y = _small(rng, schema, 8, max_parts=3, min_parts=1)
     rec = Record(schema)
@@ -163,12 +166,12 @@ def case_homs(rng):
         rec.data[f"monic={monic},limit=2"] = [
             _comp(t) for t in homomorphisms(x, y, SearchOptions(monic=monic, limit=2))
         ]
-    objs = [o for o in schema.objects if x.card[o]]
-    if objs:
-        obj = rng.choice(objs)
-        pin = {obj: {rng.randint(1, x.card[obj]): rng.randint(1, y.card[obj])}}
-        rec.data["pin"] = {obj: list(pin[obj].items())}
-        rec.data["pinned"] = [_comp(t) for t in homomorphisms(x, y, SearchOptions(initial=pin))]
+    pins = random_pins(rng, x, y, brute_homs(x, y), rng.randint(2, 3) if cyclic else 1)
+    if pins:
+        rec.data["pins"] = {obj: list(ps.items()) for obj, ps in pins.items()}
+        for monic in (False, True):
+            opts = SearchOptions(monic=monic, initial=pins)
+            rec.data[f"pinned,monic={monic}"] = [_comp(t) for t in homomorphisms(x, y, opts)]
     iso = is_isomorphic(x, x)
     rec.data["self_iso"] = _comp(iso) if iso else None
     return rec
