@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except (ParseError, UnknownReferenceError, FileNotFoundError) as exc:
+    except (ParseError, UnknownReferenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PARSE
     except ComplementViolationsError as exc:

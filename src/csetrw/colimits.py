@@ -14,10 +14,13 @@ copied, so a pushout along a monic f keeps C's numbering, appends B's
 unglued parts and costs C one list copy per column. Each output list is
 built once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
-preimages, and the partial map classifier decorates parts with
-subfunctors of representables. `pushout`, `pullback` and
-`final_pullback_complement` check that their input maps are natural, so
-columns descend and every output is built with `_trusted`, unchecked.
+preimages. `pushout`, `pullback` and `final_pullback_complement` check
+that their input maps are natural, so columns descend and every output
+is built with `_trusted`, unchecked.
+
+The partial map classifier T(X) is built sinks first, with no search:
+at c it holds X(c), then the tuples of T-parts, one per generator out
+of c, that agree on the equations out of c.
 
 A pushout complement reads only what it deletes: the identification
 check walks B, and one scan of each column of C, for the entries that
@@ -39,10 +42,9 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from operator import attrgetter, itemgetter
 
-from .errors import ComplementViolationsError, NotMonicError
+from .errors import ComplementViolationsError, CyclicSchemaError, NotMonicError
 from .instance import CSetInstance, _naturals, _restrict_removing, _trusted, deletion_closure
-from .schema import PathUniverse, SchemaPath
-from .search import homomorphisms
+from .schema import is_acyclic
 from .transform import Transformation, _adopt, identity, is_natural
 
 
@@ -388,148 +390,73 @@ def _into_restriction(
 class Classifier:
     """Partial map classifier T(X) for an instance on an acyclic schema.
 
-    A part of T(X) at object c is a pair (S, h): S is a subfunctor of the
-    representable at c (elements are equation-classes of paths out of c)
-    and h maps S naturally into X. The unit sends x to the full
-    representable evaluated at x; parts outside the unit's image encode
-    the ways a partial map can be undefined.
+    A part of T(X) at c is a partial map from the representable at c
+    into X. Defined at c's identity, it is a part of X(c) under its own
+    id, so the unit η is the inclusion. Otherwise it is the tuple (t_g)
+    of its restrictions along the generators g out of c: T(X)-parts that
+    agree on every equation out of c, walked through T's columns, which
+    exist since T(X) is built sinks first. X's parts come first, then the
+    tuples in ascending order; the column for g sends a tuple to t_g.
     """
 
     def __init__(self, x: CSetInstance):
-        self.x = x
         schema = x.schema
-        self.schema = schema
-        self.universe = PathUniverse(schema)
-        self._classes: dict[str, dict[str, list[list[SchemaPath]]]] = {}
-        self._class_idx: dict[str, dict[str, dict[SchemaPath, int]]] = {}
-        for c in schema.objects:
-            self._classes[c] = {d: self.universe.classes_between(c, d) for d in schema.objects}
-            self._class_idx[c] = {
-                d: {members[0]: i for i, members in enumerate(cls)}
-                for d, cls in self._classes[c].items()
-            }
-        # per object c, in the key's order: each d with the representative
-        # path of every class c -> d
-        self._reps = {
-            c: [(d, [cls[0] for cls in self._classes[c][d]]) for d in sorted(schema.objects)]
-            for c in schema.objects
-        }
-        # element records per object: (S, h) with S = {obj: tuple of class ids}
-        # and h = {obj: tuple of X-parts aligned with S[obj]}
-        self.elements: dict[str, list[tuple[dict, dict]]] = {}
-        self._index: dict[str, dict[tuple, int]] = {}
-        for c in schema.objects:
-            records = []
-            for sub in self._subfunctors(c):
-                sub_inst, locs = self._subfunctor_instance(c, sub)
-                for h in homomorphisms(sub_inst, x):
-                    hvals = {
-                        d: tuple(h.comp[d][loc - 1] for loc in locs[d]) for d in schema.objects
-                    }
-                    records.append((sub, hvals))
-            self.elements[c] = records
-            self._index[c] = {self._key(s, h): i + 1 for i, (s, h) in enumerate(records)}
-        card = {c: len(self.elements[c]) for c in schema.objects}
-        columns = {
-            gen.name: [
-                self._push_along(gen.dom, gen.name, record)
-                for record in self.elements[gen.dom]
-            ]
-            for gen in schema.generators
-        }
-        self.instance = _trusted(schema, card, columns)
-        self.eta = self.classify_partial(identity(x), identity(x))
+        if not is_acyclic(schema):
+            raise CyclicSchemaError("the partial map classifier requires an acyclic schema")
+        self.x, self.schema = x, schema
+        self._tuples: dict[str, list[tuple[int, ...]]] = {}  # per object, after X's parts
+        self._index: dict[str, dict[tuple[int, ...], int]] = {}  # per object, tuple -> T-part
+        card: dict[str, int] = {}
+        columns: dict[str, list[int]] = {}
+        for c in reversed(schema.sources_first):
+            gens, n = schema.outgoing(c), x.card[c]
+            self._tuples[c] = tuples = self._agreeing(c, gens, card, columns)
+            self._index[c] = dict(zip(tuples, range(n + 1, n + 1 + len(tuples))))
+            card[c] = n + len(tuples)
+            for i, gen in enumerate(gens):
+                columns[gen.name] = x.column[gen.name] + list(map(itemgetter(i), tuples))
+        columns = {gen.name: columns[gen.name] for gen in schema.generators}
+        self.instance = _trusted(schema, {c: card[c] for c in schema.objects}, columns)
+        self.eta = _adopt(x, self.instance, identity(x).comp)
 
     def __iter__(self):
         """Unpack as (instance, eta)."""
         return iter((self.instance, self.eta))
 
-    def _rep_path(self, c: str, d: str, k: int) -> SchemaPath:
-        return self._classes[c][d][k][0]
+    def _agreeing(self, c: str, gens: list, card: dict, columns: dict) -> list[tuple[int, ...]]:
+        """The tuples (t_g) over the generators out of c that agree on c's equations, ascending."""
 
-    def _act(self, c: str, d: str, k: int, gen_name: str) -> tuple[str, int]:
-        """Postcompose class k of c->d with a generator out of d."""
-        gen = self.schema.generator(gen_name)
-        path = self._rep_path(c, d, k)
-        extended = SchemaPath(c, path.components + (gen_name,))
-        return gen.cod, self._class_idx[c][gen.cod][self.universe.canonical(extended)]
+        def walk(t: int, path: tuple[str, ...]) -> int:
+            for name in path:
+                t = columns[name][t - 1]
+            return t
 
-    def _subfunctors(self, c: str):
-        """Subsets of the representable at c closed under the column action.
-
-        Objects are processed sinks-first so every forced element is
-        already decided when a subset is proposed.
-        """
-        rev = self.schema.sources_first[::-1]
-        chosen: dict[str, tuple[int, ...]] = {}
-        results: list[dict[str, tuple[int, ...]]] = []
-
-        def fill(i: int) -> None:
-            if i == len(rev):
-                results.append(dict(chosen))
-                return
-            d = rev[i]
-            n = len(self._classes[c][d])
-            for mask in range(1 << n):
-                subset = tuple(k for k in range(n) if mask >> k & 1)
-                ok = True
-                for k in subset:
-                    for gen in self.schema.outgoing(d):
-                        d2, k2 = self._act(c, d, k, gen.name)
-                        if k2 not in chosen[d2]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    chosen[d] = subset
-                    fill(i + 1)
-            chosen.pop(d, None)
-
-        fill(0)
-        results.sort(key=lambda sub: tuple(sub[d] for d in self.schema.objects))
-        return results
-
-    def _subfunctor_instance(self, c: str, sub: dict[str, tuple[int, ...]]):
-        local = {d: {k: i + 1 for i, k in enumerate(sub[d])} for d in self.schema.objects}
-        card = {d: len(sub[d]) for d in self.schema.objects}
-        columns = {}
-        for gen in self.schema.generators:
-            col = [0] * card[gen.dom]
-            for k in sub[gen.dom]:
-                d2, k2 = self._act(c, gen.dom, k, gen.name)
-                col[local[gen.dom][k] - 1] = local[d2][k2]
-            columns[gen.name] = col
-        inst = _trusted(self.schema, card, columns)
-        locs = {d: [local[d][k] for k in sub[d]] for d in self.schema.objects}
-        return inst, locs
-
-    @staticmethod
-    def _key(sub: dict, hvals: dict) -> tuple:
-        """Index key of a T-part; `_classify` and `classifier_map` build it directly."""
-        return tuple((d, tuple(sub[d]), tuple(hvals[d])) for d in sorted(sub))
-
-    def _push_along(self, c: str, gen_name: str, record: tuple[dict, dict]) -> int:
-        """Image of a T-part under the column for a generator c -> c'."""
-        gen = self.schema.generator(gen_name)
-        c2 = gen.cod
-        sub, hvals = record
-        pos = {d: {k: i for i, k in enumerate(sub[d])} for d in self.schema.objects}
-        new_sub: dict[str, tuple[int, ...]] = {}
-        new_h: dict[str, tuple[int, ...]] = {}
-        for d in self.schema.objects:
-            picked = []
-            vals = []
-            for k2 in range(len(self._classes[c2][d])):
-                path = self._rep_path(c2, d, k2)
-                pre = self.universe.canonical(SchemaPath(c, (gen_name,) + path.components))
-                k = self._class_idx[c][d][pre]
-                if k in pos[d]:
-                    picked.append(k2)
-                    vals.append(hvals[d][pos[d][k]])
-            new_sub[d] = tuple(picked)
-            new_h[d] = tuple(vals)
-        return self._index[c2][self._key(new_sub, new_h)]
+        pos = {gen.name: i for i, gen in enumerate(gens)}
+        # each equation out of c as ((j, q), (i, p)) with j <= i: its sides
+        # start with generators j and i and go on along q and p
+        sides = [
+            sorted((pos[side.components[0]], side.components[1:]) for side in eq)
+            for eq in self.schema.equations
+            if eq[0].source == c and eq[0].components and eq[1].components
+        ]
+        found: list[tuple[int, ...]] = [()]
+        for i, gen in enumerate(gens):
+            parts = range(1, card[gen.cod] + 1)
+            checks = [(p, j, q) for (j, q), (k, p) in sides if k == i]
+            # candidates come from the first equation tying g to an earlier generator
+            tie = next(((p, j, q) for p, j, q in checks if j < i), None)
+            if tie:
+                checks.remove(tie)
+                by_value: dict[int, list[int]] = {}
+                for t in parts:
+                    by_value.setdefault(walk(t, tie[0]), []).append(t)
+            found = [
+                prefix + (t,)
+                for prefix in found
+                for t in (by_value.get(walk(prefix[tie[1]], tie[2]), ()) if tie else parts)
+                if all(walk(t, p) == walk(prefix[j] if j < i else t, q) for p, j, q in checks)
+            ]
+        return found
 
     def classify_partial(self, sub: Transformation, f: Transformation) -> Transformation:
         """Total map A -> T(X) classifying the partial map (sub: A' -> A, f: A' -> X)."""
@@ -538,28 +465,25 @@ class Classifier:
         if sub.dom != f.dom:
             raise ValueError("partial map legs must share their domain")
         a = sub.cod
-        partial = {d: dict(zip(sub.comp[d], f.comp[d])) for d in self.schema.objects}
-        comp = {
-            c: [self._classify(a, partial, c, part) for part in a.parts(c)]
-            for c in self.schema.objects
-        }
+        known = {d: dict(zip(sub.comp[d], f.comp[d])) for d in self.schema.objects}
+        comp = {c: [self._classify(a, known, c, part) for part in a.parts(c)] for c in self.schema.objects}
         return _adopt(a, self.instance, comp)
 
-    def _classify(self, a: CSetInstance, partial: dict[str, dict[int, int]], c: str, part: int) -> int:
+    def _classify(self, a: CSetInstance, known: dict[str, dict[int, int]], c: str, part: int) -> int:
         """The T-part classifying one part of A at c.
 
-        `partial` is the partial map A -> X, per object {A-part: X-part}.
+        `known` holds per object {A-part: T-part}. It starts as the partial
+        map A -> X, since X's parts are T's, and every part classified is
+        added: one undefined at c is the tuple of its images' classes.
         """
-        key = []
-        for d, paths in self._reps[c]:
-            picked, vals = [], []
-            for k, path in enumerate(paths):
-                value = partial[d].get(a.apply_path(path, part))
-                if value:
-                    picked.append(k)
-                    vals.append(value)
-            key.append((d, tuple(picked), tuple(vals)))
-        return self._index[c][tuple(key)]
+        t = known[c].get(part)
+        if t is None:
+            entries = [
+                self._classify(a, known, gen.cod, a.column[gen.name][part - 1])
+                for gen in self.schema.outgoing(c)
+            ]
+            t = known[c][part] = self._index[c][tuple(entries)]
+        return t
 
 
 def partial_map_classifier(x: CSetInstance) -> Classifier:
@@ -571,18 +495,19 @@ def partial_map_classifier(x: CSetInstance) -> Classifier:
 
 
 def classifier_map(tdom: Classifier, tcod: Classifier, f: Transformation) -> Transformation:
-    """Functorial action T(f): T(X) -> T(Y) postcomposing decorations with f."""
-    objects = tdom.schema.objects
-    shifted = {d: [0] + f.comp[d] for d in objects}  # f's column, indexed by part id
-    order = sorted(objects)  # the key's order
+    """Functorial action T(f): T(X) -> T(Y) postcomposing partial maps with f.
+
+    Parts of X go through f; a tuple goes entry by entry, sinks first.
+    """
+    schema = tdom.schema
     comp: dict[str, list[int]] = {}
-    for c in objects:
-        index = tcod._index[c]
-        comp[c] = [
-            index[tuple((d, sub[d], tuple(map(shifted[d].__getitem__, hvals[d]))) for d in order)]
-            for sub, hvals in tdom.elements[c]
+    for c in reversed(schema.sources_first):
+        gens, index = schema.outgoing(c), tcod._index[c]
+        comp[c] = f.comp[c] + [
+            index[tuple(comp[gen.cod][t - 1] for gen, t in zip(gens, entries))]
+            for entries in tdom._tuples[c]
         ]
-    return _adopt(tdom.instance, tcod.instance, comp)
+    return _adopt(tdom.instance, tcod.instance, {c: comp[c] for c in schema.objects})
 
 
 def final_pullback_complement(
@@ -611,7 +536,7 @@ def final_pullback_complement(
     schema = g.schema
     near = deletion_closure(g, {d: set(match.comp[d]) for d in schema.objects})
     t_of_l = l.classifier_map
-    partial = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
+    known = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
     card: dict[str, int] = {}
     ids: dict[str, list[int]] = {}  # K-part of each G-part outside the neighbourhood
     fibres: dict[str, list[tuple[int, list[int]]]] = {}  # (G-part, its T(I)-parts) near the match
@@ -621,7 +546,7 @@ def final_pullback_complement(
         over: dict[int, list[int]] = {}
         for t, image in enumerate(t_of_l.comp[c], start=1):
             over.setdefault(image, []).append(t)
-        fibres[c] = [(h, over.get(t_l._classify(g, partial, c, h), [])) for h in sorted(near[c])]
+        fibres[c] = [(h, over.get(t_l._classify(g, known, c, h), [])) for h in sorted(near[c])]
         ren, back, local = [0], [], {}
         shift = prev = 0
         for h, ts in fibres[c]:

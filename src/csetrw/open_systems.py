@@ -325,14 +325,11 @@ def open_rewrite(rule: OpenRule, match: CospanMorphism) -> OpenRewriteOutcome:
 
     def induced_leg(foot_level: str, g_leg: Transformation) -> Transformation:
         try:
-            leg = factor_through(comp[foot_level][1].compose(g_leg), comp["apex"][1])
+            return factor_through(comp[foot_level][1].compose(g_leg), comp["apex"][1])
         except ValueError as exc:
             raise CommutativityFailureError(
                 f"a surviving {foot_level} foot part has a deleted apex image: {exc}"
             ) from exc
-        if is_natural(leg):
-            raise CommutativityFailureError("induced intermediate leg is not natural")
-        return leg
 
     k_cospan = StructuredCospan(
         induced_leg("in", g_cospan.in_leg), induced_leg("out", g_cospan.out_leg)
@@ -340,12 +337,9 @@ def open_rewrite(rule: OpenRule, match: CospanMorphism) -> OpenRewriteOutcome:
     pos = {level: pushout(levels[level][2], comp[level][0]) for level in levels}
 
     def result_leg(foot_level: str, rhs_leg: Transformation, k_leg: Transformation) -> Transformation:
-        try:
-            return pos[foot_level].universal(
-                rhs_leg.compose(pos["apex"].leg_b), k_leg.compose(pos["apex"].leg_c)
-            )
-        except ValueError as exc:
-            raise CommutativityFailureError(str(exc)) from exc
+        # the legs pushed into the apex form a cocone by construction, so it is not rechecked
+        apex, foot = pos["apex"], pos[foot_level]
+        return cocone_induced(foot.leg_b, foot.leg_c, rhs_leg.compose(apex.leg_b), k_leg.compose(apex.leg_c))
 
     h_cospan = StructuredCospan(
         result_leg("in", rule.r.cod.in_leg, k_cospan.in_leg),

@@ -435,6 +435,14 @@ def test_cli_parse_error_exit(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "compose"])
+def test_cli_directory_argument_exits_2(command, tmp_path, capsys):
+    args = [command, str(tmp_path)] + ([str(tmp_path)] if command == "compose" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_cli_output_is_byte_deterministic(tmp_path):
     args = [
         "homs",

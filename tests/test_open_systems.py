@@ -5,6 +5,7 @@ import random
 import pytest
 
 from csetrw.errors import (
+    CommutativityFailureError,
     ComplementViolationsError,
     FootMismatchError,
     TypingMismatchError,
@@ -329,6 +330,25 @@ def test_open_rewrite_foot_violation(graph):
     with pytest.raises(ComplementViolationsError) as err:
         open_rewrite(rule, match)
     assert any(level == "in" for level, _ in err.value.violations)
+
+
+def test_open_rewrite_deleting_a_foot_image(graph):
+    # the rule deletes a lone vertex whose host image is where the input
+    # foot's point lands; the foot point survives but its apex image does not
+    nothing = empty_instance(graph)
+    none = Transformation(nothing, nothing, {})
+    pt = discrete_instance(graph, {"V": 1})
+    onev = make_instance(graph, {"V": 1}, {})
+    l_csp = StructuredCospan(Transformation(nothing, onev, {}), Transformation(nothing, onev, {}))
+    i_csp = StructuredCospan(none, none)
+    rule = OpenRule(
+        CospanMorphism(i_csp, l_csp, Transformation(nothing, onev, {}), none, none),
+        CospanMorphism(i_csp, i_csp, none, none, none),
+    )
+    g_csp = StructuredCospan(Transformation(pt, onev, {"V": [1]}), Transformation(nothing, onev, {}))
+    match = CospanMorphism(l_csp, g_csp, identity(onev), Transformation(nothing, pt, {}), none)
+    with pytest.raises(CommutativityFailureError, match="surviving in foot part"):
+        open_rewrite(rule, match)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ or contradict each other), `is_isomorphic`, pushouts, pullbacks,
 `restrict`, pushout complements and their refusals, `rewrite`
 and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
 that feed each result back as the next host, the partial map
-classifier, `diagram_colimit` with `coproduct` (small diagrams, and
+classifier (half of its cases over closed pieces of a mesh, whose schema
+has equations), `diagram_colimit` with `coproduct` (small diagrams, and
 diagrams of up to 12 nodes with spans, parallel arrows and self-arrows),
 chains of structured cospans composed one after another, and
 `open_rewrite`. The SqPO and chain hosts carry a disjoint random
@@ -384,17 +385,23 @@ def case_chain(rng):
 
 
 def case_classifier(rng):
+    """T(X) of a small X, recorded through its unit X -> T(X).
+
+    Half of the X are drawn over a random acyclic schema, which has no
+    equations; the other half are closed pieces of a 1x1 or 1x2 mesh over
+    `delta2_schema`, whose equations tie each triangle's edges together.
+    """
     from oracles import random_acyclic_schema
 
-    from csetrw import partial_map_classifier
+    from csetrw import gen_mesh, partial_map_classifier
 
-    schema = random_acyclic_schema(rng)
-    x = _small(rng, schema, 4, max_parts=2)
-    rec = Record(schema)
+    if rng.random() < 0.5:
+        x = _small(rng, random_acyclic_schema(rng), 4, max_parts=2)
+    else:
+        x, _ = _sub(rng, gen_mesh(1, rng.randint(1, 2)), 0.6)
+    rec = Record(x.schema)
     rec.fix("x", x)
-    t = partial_map_classifier(x)
-    rec.data["T"] = _inst(t.instance)
-    rec.data["eta"] = _comp(t.eta)
+    rec.map("eta", partial_map_classifier(x).eta)
     return rec
 
 
