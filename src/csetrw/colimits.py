@@ -30,10 +30,11 @@ patches the restriction to D, which is built only when none dangle.
 A final pullback complement reads only the match's upward closure, the
 parts of G from which some path reaches the match, found by the
 `deletion_closure` that SPO uses: only they classify as more than the
-empty partial map, so only they are classified, split or dropped, and
-every other part of G is carried over by a renumbering of whole column
-runs. T(X) is built on first use and kept on X, like the preimage
-index, and T(l) on l, so a rule's T(L), T(I) and T(l) are built once.
+empty partial map, so only they are classified, split or dropped. K is
+G restricted as in DPO and SPO, with the extra copies of split parts
+appended, so every other part of G keeps the id `restrict` gives it.
+T(X) is built on first use and kept on X, like the preimage index, and
+T(l) on l, so a rule's T(L), T(I) and T(l) are built once.
 """
 
 from __future__ import annotations
@@ -474,16 +475,20 @@ class Classifier:
 
         `known` holds per object {A-part: T-part}. It starts as the partial
         map A -> X, since X's parts are T's, and every part classified is
-        added: one undefined at c is the tuple of its images' classes.
+        added: one undefined at c is the tuple of its images' classes. A
+        stack of parts waiting for their images replaces recursion, so a
+        long schema path cannot exhaust Python's stack.
         """
-        t = known[c].get(part)
-        if t is None:
-            entries = [
-                self._classify(a, known, gen.cod, a.column[gen.name][part - 1])
-                for gen in self.schema.outgoing(c)
-            ]
-            t = known[c][part] = self._index[c][tuple(entries)]
-        return t
+        stack: list = [(c, part, None)]  # a part, then again with its images once they are pushed
+        while stack:
+            d, p, images = stack.pop()
+            if images is not None:
+                known[d][p] = self._index[d][tuple(known[e][q] for e, q in images)]
+            elif p not in known[d]:
+                images = [(gen.cod, a.column[gen.name][p - 1]) for gen in self.schema.outgoing(d)]
+                stack.append((d, p, images))
+                stack += [(e, q, None) for e, q in images if q not in known[e]]
+        return known[c][part]
 
 
 def partial_map_classifier(x: CSetInstance) -> Classifier:
@@ -516,14 +521,16 @@ def final_pullback_complement(
     """Final pullback complement of I -l-> L -match-> G (match monic).
 
     K is the pullback of the match's classifying map χ: G -> T(L) against
-    T(l), numbered as `pullback` numbers it: each part of G in order,
-    expanded into the parts of T(I) over its χ-value, ascending. Only the
-    parts of G from which some path reaches the match classify as more
-    than ⊥, whose one preimage is T(I)'s ⊥; every other part is copied as
-    one part of K. So χ is evaluated on that neighbourhood alone, and
-    K's columns are G's pushed through a renumbering built from `range`
-    runs, with only the neighbourhood's entries patched. Returns
-    (I -> K, K -> G); raises ValueError unless l and the match are natural.
+    T(l): the pairs (G-part, T(I)-part) over one T(L)-part. Only the parts
+    of G from which some path reaches the match classify as more than ⊥,
+    whose one preimage is T(I)'s ⊥, so χ is evaluated on that
+    neighbourhood alone. K is numbered as DPO and SPO number theirs:
+    `restrict` drops the near parts over nothing (only such parts lie
+    above them), each kept part's first copy, over its smallest T(I)-part,
+    keeps the id `restrict` gives it, and the other copies are appended in
+    (G-part, T(I)-part) order. Only the near parts' entries are patched.
+    Returns (I -> K, K -> G); raises ValueError unless l and the match are
+    natural.
     """
     if l.cod != match.dom:
         raise ValueError("the match must start where the rule leg ends")
@@ -537,47 +544,35 @@ def final_pullback_complement(
     near = deletion_closure(g, {d: set(match.comp[d]) for d in schema.objects})
     t_of_l = l.classifier_map
     known = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
-    card: dict[str, int] = {}
-    ids: dict[str, list[int]] = {}  # K-part of each G-part outside the neighbourhood
     fibres: dict[str, list[tuple[int, list[int]]]] = {}  # (G-part, its T(I)-parts) near the match
-    pair_id: dict[str, dict[tuple[int, int], int]] = {}
-    k_to_g: dict[str, list[int]] = {}
     for c in schema.objects:
         over: dict[int, list[int]] = {}
         for t, image in enumerate(t_of_l.comp[c], start=1):
             over.setdefault(image, []).append(t)
         fibres[c] = [(h, over.get(t_l._classify(g, known, c, h), [])) for h in sorted(near[c])]
-        ren, back, local = [0], [], {}
-        shift = prev = 0
+    sub, incl, moved = _restrict_removing(g, {c: {h for h, ts in fibres[c] if not ts} for c in schema.objects})
+    card, k_to_g = sub.card, incl.comp
+    pair_id: dict[str, dict[tuple[int, int], int]] = {}  # K-part of each near (G-part, T(I)-part)
+    for c in schema.objects:
+        ids = pair_id[c] = {}
         for h, ts in fibres[c]:
-            ren += range(prev + 1 + shift, h + shift)
-            ren.append(0)
-            back += range(prev + 1, h)
-            back += [h] * len(ts)
-            for j, t in enumerate(ts):
-                local[h, t] = h + shift + j
-            shift += len(ts) - 1
-            prev = h
-        ren += range(prev + 1 + shift, g.card[c] + 1 + shift)
-        back += range(prev + 1, g.card[c] + 1)
-        card[c], ids[c], pair_id[c], k_to_g[c] = g.card[c] + shift, ren, local, back
-    columns: dict[str, list[int]] = {}
+            if ts:
+                ids[h, ts[0]] = moved[c].get(h, h)
+                for t in ts[1:]:
+                    card[c] += 1
+                    ids[h, t] = card[c]
+                    k_to_g[c].append(h)
     for gen in schema.generators:
-        col, t_col = g.column[gen.name], t_i.instance.column[gen.name]
-        ren, local = ids[gen.cod], pair_id[gen.cod]
-        # a part outside the neighbourhood points outside it, so only the
-        # neighbourhood's entries are patched
-        mapped = list(map(ren.__getitem__, col))
-        out: list[int] = []
-        prev = 0
+        col, t_col, out = g.column[gen.name], t_i.instance.column[gen.name], sub.column[gen.name]
+        ids, cod_moved, dom_moved = pair_id[gen.cod], moved[gen.cod], moved[gen.dom]
         for h, ts in fibres[gen.dom]:
-            out += mapped[prev : h - 1]
             v = col[h - 1]
-            out += [local.get((v, t_col[t - 1]), ren[v]) for t in ts]
-            prev = h
-        out += mapped[prev:]
-        columns[gen.name] = out
-    k = _trusted(schema, card, columns)
+            # a far part is over ⊥ and keeps the id `restrict` gave it
+            entries = [ids.get((v, t_col[t - 1])) or cod_moved.get(v, v) for t in ts]
+            if entries:
+                out[dom_moved.get(h, h) - 1] = entries[0]
+                out += entries[1:]
+    k = _trusted(schema, card, sub.column)
     i_to_k = {
         obj: [
             pair_id[obj][match.comp[obj][v - 1], t]

@@ -275,6 +275,8 @@ class CospanMorphism:
     out_map: Transformation
 
     def __post_init__(self):
+        if is_natural(self.apex_map):
+            raise ValueError("cospan morphism apex map must be natural")
         if self.dom.in_leg.compose(self.apex_map) != self.in_map.compose(self.cod.in_leg):
             raise CommutativityFailureError("input foot square does not commute")
         if self.dom.out_leg.compose(self.apex_map) != self.out_map.compose(self.cod.out_leg):

@@ -184,12 +184,17 @@ def test_criterion_02_sqpo_copy_counts():
         # oracle part 2: the hand-built complement is the same
         assert is_isomorphic(k, _expected_copy_complement(d2)) is not None
         # oracle part 3: enumerate alternative pullback complements and
-        # check each factors through K exactly once (finality)
+        # check each factors through K exactly once (finality); each drops
+        # copies of host parts, (host part, j) naming the j-th K-part over it
         alternatives = []
-        for drop in ({}, {"T": {2}}, {"T": {1, 2}}, {"T": {2}, "E": {2, 4}},
-                     {"T": {1, 2}, "E": {1, 2, 3, 4}}):
+        for drop in ({}, {"T": {(1, 2)}}, {"T": {(1, 1), (1, 2)}},
+                     {"T": {(1, 2)}, "E": {(1, 2), (2, 2)}},
+                     {"T": {(1, 1), (1, 2)}, "E": {(1, 1), (1, 2), (2, 1), (2, 2)}}):
             kept = {
-                obj: set(k.parts(obj)) - set(drop.get(obj, ()))
+                obj: set(k.parts(obj)) - {
+                    [z for z in k.parts(obj) if n_leg.comp[obj][z - 1] == h][j - 1]
+                    for h, j in drop.get(obj, ())
+                }
                 for obj in d2.objects
             }
             from csetrw.instance import restrict

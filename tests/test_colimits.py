@@ -375,10 +375,38 @@ def test_fpc_square_is_pullback_randomized():
 
 
 def classifier_fpc(l, m):
-    """The FPC as the classifier construction states it: χ pulled back along T(l)."""
+    """The FPC as the classifier construction states it: χ pulled back along T(l).
+
+    The pullback's pairs (G-part, T(I)-part) are then renumbered as K is:
+    the first pair over each G-part takes the id `restrict` gives that
+    part when the G-parts over nothing are dropped, and the other pairs
+    follow in the pullback's order, which is (G-part, T(I)-part).
+    """
     t_l, t_i = partial_map_classifier(l.cod), partial_map_classifier(l.dom)
     pb = pullback(t_l.classify_partial(m, identity(l.cod)), classifier_map(t_i, t_l, l))
-    return pb.universal(l.compose(m), t_i.eta), pb.p1
+    ref, g = pb.apex, m.cod
+    _, incl = restrict(g, {o: set(pb.p1.comp[o]) for o in g.schema.objects})
+    new: dict[str, list[int]] = {}
+    for o in g.schema.objects:
+        kept_id = {h: p for p, h in enumerate(incl.comp[o], start=1)}
+        new[o], n = [], len(kept_id)
+        for h in pb.p1.comp[o]:
+            if h in kept_id:
+                new[o].append(kept_id.pop(h))
+            else:
+                n += 1
+                new[o].append(n)
+    back = {o: sorted(ref.parts(o), key=lambda z: new[o][z - 1]) for o in g.schema.objects}
+    k = make_instance(
+        g.schema,
+        ref.card,
+        {gen.name: [new[gen.cod][ref.apply(gen.name, z) - 1] for z in back[gen.dom]] for gen in g.schema.generators},
+    )
+    i_to_k = pb.universal(l.compose(m), t_i.eta)
+    return (
+        Transformation(l.dom, k, {o: [new[o][z - 1] for z in i_to_k.comp[o]] for o in g.schema.objects}),
+        Transformation(k, g, {o: [pb.p1.comp[o][z - 1] for z in back[o]] for o in g.schema.objects}),
+    )
 
 
 def fpc_record(i_to_k, k_to_g):

@@ -8,6 +8,7 @@ from csetrw.errors import (
     CommutativityFailureError,
     ComplementViolationsError,
     FootMismatchError,
+    MatchNotNaturalError,
     TypingMismatchError,
 )
 from csetrw.instance import empty_instance, make_instance
@@ -349,6 +350,20 @@ def test_open_rewrite_deleting_a_foot_image(graph):
     match = CospanMorphism(l_csp, g_csp, identity(onev), Transformation(nothing, pt, {}), none)
     with pytest.raises(CommutativityFailureError, match="surviving in foot part"):
         open_rewrite(rule, match)
+
+
+def test_cospan_morphism_refuses_a_non_natural_apex_map(graph):
+    # edge 1 -> 2 onto a loop at vertex 1, while vertex 2 goes to vertex 2
+    rule = _open_edge_deletion(graph)
+    host = make_instance(graph, {"V": 2, "E": 1}, {"src": [1], "tgt": [1]})
+    nothing = empty_instance(graph)
+    g_csp = StructuredCospan(Transformation(nothing, host, {}), Transformation(nothing, host, {}))
+    skewed = Transformation(rule.l.cod.apex, host, {"V": [1, 2], "E": [1]})
+    none = Transformation(nothing, nothing, {})
+    with pytest.raises(ValueError, match="apex map must be natural"):
+        CospanMorphism(rule.l.cod, g_csp, skewed, none, none)
+    with pytest.raises(MatchNotNaturalError):
+        rewrite_dpo(Rule(rule.l.apex_map, rule.r.apex_map, kind=DPO), skewed)
 
 
 # ---------------------------------------------------------------------------

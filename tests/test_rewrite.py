@@ -8,7 +8,7 @@ import pytest
 
 from csetrw import colimits
 from csetrw import instance as instance_module
-from csetrw.colimits import Classifier, _into_restriction, check_pushout_complement, pushout
+from csetrw.colimits import Classifier, _into_restriction, check_pushout_complement, coproduct, pushout
 from csetrw.errors import (
     ComplementViolationsError,
     CyclicSchemaError,
@@ -445,6 +445,53 @@ def test_sqpo_on_cyclic_schema_fails_on_every_call(classifier_builds):
         with pytest.raises(CyclicSchemaError):
             rewrite_sqpo(rule, identity(x))
     assert len(classifier_builds) == 2
+
+
+def test_sqpo_clones_the_sink_of_a_long_schema_chain():
+    # o0 -> o1 -> ... -> o1099 with one part each: every part lies above
+    # the cloned sink part, so classifying o0's part walks 1,100 objects
+    objects = [f"o{i}" for i in range(1100)]
+    schema = SchemaPresentation(objects, [Generator(f"g{i}", a, b) for i, (a, b) in enumerate(zip(objects, objects[1:]))])
+    g = make_instance(schema, {o: 1 for o in objects}, {f"g{i}": [1] for i in range(1099)})
+    lhs = make_instance(schema, {"o1099": 1}, {})
+    interface = make_instance(schema, {"o1099": 2}, {})
+    rule = Rule(Transformation(interface, lhs, {"o1099": [1, 1]}), identity(interface), kind=SQPO)
+    out = rewrite_sqpo(rule, Transformation(lhs, g, {"o1099": [1]}))
+    assert out.result.card == {o: 2 for o in objects}
+    assert out.maps["k_to_g"].comp["o0"] == [1, 1]
+
+
+def _step_record(out):
+    """Everything a step built, with ids and order as they are."""
+    built = [[x.card, x.column] for x in (out.k, out.result)]
+    return json.dumps(built + [[name, t.comp] for name, t in out.maps.items()])
+
+
+def test_sqpo_equals_dpo_for_monic_l_randomized():
+    # with a monic l and no violations SqPO's K is DPO's, part for part
+    rng = random.Random(59)
+    seen = {"identity r": 0, "injection r": 0, "parts moved": 0}
+    while min(seen.values()) < 15:
+        schema = random_acyclic_schema(rng)
+        host = random_instance(rng, schema, max_parts=4)
+        lhs = random_instance(rng, schema, max_parts=2)
+        i_parts = random_closed_parts(rng, lhs, keep_probability=0.5)
+        interface = subinstance(lhs, i_parts)
+        l = Transformation(interface, lhs, {o: sorted(i_parts[o]) for o in schema.objects})
+        if rng.random() < 0.5:
+            r, kind = identity(interface), "identity r"
+        else:
+            _, (r, _) = coproduct([interface, random_instance(rng, schema, max_parts=2)])
+            kind = "injection r"
+        matches = [m for m in brute_homs(lhs, host, monic=True) if not check_pushout_complement(l, m)]
+        if not matches:
+            continue
+        m = rng.choice(matches)
+        dpo = rewrite_dpo(Rule(l, r, kind=DPO), m)
+        assert _step_record(rewrite_sqpo(Rule(l, r, kind=SQPO), m)) == _step_record(dpo)
+        seen[kind] += 1
+        k_to_g = dpo.maps["k_to_g"].comp.values()
+        seen["parts moved"] += any(col != sorted(col) for col in k_to_g)
 
 
 def test_find_and_rewrite_counts(two_triangles):

@@ -16,8 +16,11 @@ classifier (half of its cases over closed pieces of a mesh, whose schema
 has equations), `diagram_colimit` with `coproduct` (small diagrams, and
 diagrams of up to 12 nodes with spans, parallel arrows and self-arrows),
 chains of structured cospans composed one after another, and
-`open_rewrite`. The SqPO and chain hosts carry a disjoint random
-padding, so that they have parts outside the match's neighbourhood. Half of the DPO and SPO rewrite
+`open_rewrite` (in half of these cases r is I's injection into I plus a
+random instance, with R's legs composed through it, so that the
+right-hand pushout and the result legs get new parts). The SqPO and
+chain hosts carry a disjoint random padding, so that they have parts
+outside the match's neighbourhood. Half of the DPO and SPO rewrite
 cases are drawn over a schema with a loop `next: E -> E`, so that the
 deletion closure follows a generator on a cycle.
 
@@ -525,16 +528,21 @@ def _sub_cospan(rng, cospan, keep):
 def case_open(rng):
     from oracles import random_instance
 
-    from csetrw import CospanMorphism, OpenRule, graph_schema, identity, open_rewrite
+    from csetrw import CospanMorphism, OpenRule, StructuredCospan, coproduct, graph_schema, identity, open_rewrite
 
     schema = graph_schema()
     g = random_instance(rng, schema, max_parts=4, min_parts=1)
     g_cospan = _cospan(rng, g, 2)
     l_cospan, match = _sub_cospan(rng, g_cospan, 0.6)
     i_cospan, l = _sub_cospan(rng, l_cospan, 0.6)
-    r = CospanMorphism(i_cospan, i_cospan, *(identity(x) for x in (i_cospan.apex, i_cospan.foot_in, i_cospan.foot_out)))
+    if rng.random() < 0.5:  # r creates: I's injection into I + X, R's legs through it
+        _, (inj, _) = coproduct([i_cospan.apex, random_instance(rng, schema, max_parts=2, min_parts=1)])
+        r_cospan = StructuredCospan(i_cospan.in_leg.compose(inj), i_cospan.out_leg.compose(inj))
+    else:
+        inj, r_cospan = identity(i_cospan.apex), i_cospan
+    r = CospanMorphism(i_cospan, r_cospan, inj, identity(i_cospan.foot_in), identity(i_cospan.foot_out))
     rec = Record(schema)
-    for name, c in (("G", g_cospan), ("L", l_cospan), ("I", i_cospan)):
+    for name, c in (("G", g_cospan), ("L", l_cospan), ("I", i_cospan), ("R", r_cospan)):
         rec.map(f"{name}.in", c.in_leg)
         rec.map(f"{name}.out", c.out_leg)
     for name, m in (("match", match), ("l", l)):
