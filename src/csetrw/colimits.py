@@ -16,25 +16,15 @@ built once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages. `pushout`, `pullback` and `final_pullback_complement` check
 that their input maps are natural, so columns descend and every output
-is built with `_trusted`, unchecked.
+is built with `_trusted`, unchecked. A rewrite step checks its match
+once and calls `_pushout` and `_final_pullback_complement`, which check
+nothing, on the rule legs `Rule` checked and the maps the step built.
 
-The partial map classifier T(X) is built sinks first, with no search:
-at c it holds X(c), then the tuples of T-parts, one per generator out
-of c, that agree on the equations out of c.
-
-A pushout complement reads only what it deletes: the identification
-check walks B, and one scan of each column of C, for the entries that
-point at deleted or moved parts, both finds the dangling ones and
-patches the restriction to D, which is built only when none dangle.
-
-A final pullback complement reads only the match's upward closure, the
-parts of G from which some path reaches the match, found by the
-`deletion_closure` that SPO uses: only they classify as more than the
-empty partial map, so only they are classified, split or dropped. K is
-G restricted as in DPO and SPO, with the extra copies of split parts
-appended, so every other part of G keeps the id `restrict` gives it.
+The partial map classifier T(X) is built sinks first, with no search.
+A pushout complement reads only what it deletes, and a final pullback
+complement only the parts of G from which some path reaches the match.
 T(X) is built on first use and kept on X, like the preimage index, and
-T(l) on l, so a rule's T(L), T(I) and T(l) are built once.
+T(l) and its fibres on l, so a rule's T(L), T(I) and T(l) are built once.
 """
 
 from __future__ import annotations
@@ -186,9 +176,13 @@ def pushout(f: Transformation, g: Transformation) -> PushoutResult:
         raise ValueError("pushout requires a shared domain")
     if is_natural(f) or is_natural(g):
         raise ValueError("pushout legs must be natural")
-    b, c = f.cod, g.cod
-    apex, (comp_c, comp_b) = _quotient([c, b], [(1, 0, f.comp, g.comp)])
-    return PushoutResult(apex, _adopt(b, apex, comp_b), _adopt(c, apex, comp_c), f, g)
+    return _pushout(f, g)
+
+
+def _pushout(f: Transformation, g: Transformation) -> PushoutResult:
+    """`pushout` of natural maps with a shared domain, unchecked."""
+    apex, (comp_c, comp_b) = _quotient([g.cod, f.cod], [(1, 0, f.comp, g.comp)])
+    return PushoutResult(apex, _adopt(f.cod, apex, comp_b), _adopt(g.cod, apex, comp_c), f, g)
 
 
 def coproduct(instances: list[CSetInstance]) -> tuple[CSetInstance, list[Transformation]]:
@@ -538,18 +532,21 @@ def final_pullback_complement(
         raise NotMonicError("final pullback complements require a monic match")
     if is_natural(l) or is_natural(match):
         raise ValueError("final pullback complements need a natural rule leg and match")
+    return _final_pullback_complement(l, match)
+
+
+def _final_pullback_complement(l: Transformation, match: Transformation) -> tuple[Transformation, Transformation]:
+    """`final_pullback_complement` of a natural l and a natural monic match from l.cod, unchecked."""
     t_l, t_i = partial_map_classifier(l.cod), partial_map_classifier(l.dom)
     g = match.cod
     schema = g.schema
     near = deletion_closure(g, {d: set(match.comp[d]) for d in schema.objects})
-    t_of_l = l.classifier_map
+    over = l.classifier_fibres
     known = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
-    fibres: dict[str, list[tuple[int, list[int]]]] = {}  # (G-part, its T(I)-parts) near the match
-    for c in schema.objects:
-        over: dict[int, list[int]] = {}
-        for t, image in enumerate(t_of_l.comp[c], start=1):
-            over.setdefault(image, []).append(t)
-        fibres[c] = [(h, over.get(t_l._classify(g, known, c, h), [])) for h in sorted(near[c])]
+    fibres = {  # (G-part, its T(I)-parts) near the match
+        c: [(h, over[c].get(t_l._classify(g, known, c, h), [])) for h in sorted(near[c])]
+        for c in schema.objects
+    }
     sub, incl, moved = _restrict_removing(g, {c: {h for h, ts in fibres[c] if not ts} for c in schema.objects})
     card, k_to_g = sub.card, incl.comp
     pair_id: dict[str, dict[tuple[int, int], int]] = {}  # K-part of each near (G-part, T(I)-part)
@@ -573,11 +570,9 @@ def final_pullback_complement(
                 out[dom_moved.get(h, h) - 1] = entries[0]
                 out += entries[1:]
     k = _trusted(schema, card, sub.column)
+    # η is the inclusion, so I-part i is T(I)-part i
     i_to_k = {
-        obj: [
-            pair_id[obj][match.comp[obj][v - 1], t]
-            for v, t in zip(l.comp[obj], t_i.eta.comp[obj])
-        ]
+        obj: [pair_id[obj][match.comp[obj][v - 1], i] for i, v in enumerate(l.comp[obj], start=1)]
         for obj in schema.objects
     }
     return _adopt(l.dom, k, i_to_k), _adopt(k, g, k_to_g)

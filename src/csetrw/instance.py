@@ -6,7 +6,8 @@ use and cached on the instance, one generator at a time, so incidence
 queries cost O(answer) and instances nobody searches or walks backwards
 never pay for it. Search and `incident` read it; `deletion_closure`, the
 one upward closure behind SPO and final pullback complements, reads it
-only for the generators on a cycle of the schema.
+only for the generators on a cycle of the schema. Search plans and the
+partial map classifier are cached the same way.
 `restrict` is the one subinstance constructor; it numbers the kept parts
 swap-last, as deletion in place would.
 
@@ -14,19 +15,15 @@ swap-last, as deletion in place would.
 `restrict` and `colimits` build from valid instances by natural maps is
 valid, so they make it with `_trusted`, which neither copies nor checks;
 the tests validate those. Work that touches every part is done a column
-at a time at C level: `validate_instance` checks ranges with `min`/`max`
-and each equation as two composed columns, and `restrict` copies each
-column and patches only the entries of moved parts and those pointing
-at dropped or moved parts, found by one scan that also finds the entries
-that would dangle; it refuses those before it builds anything. Walks
-part by part happen only where a violation is reported.
+at a time at C level, and walks part by part happen only where a
+violation is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
 
 from .errors import InvalidInstanceError, PartOutOfRangeError
 from .schema import SchemaPath, SchemaPresentation, graph_schema
@@ -88,6 +85,11 @@ class CSetInstance:
         Each generator's lists are built on its first lookup.
         """
         return build_index(self)
+
+    @cached_property
+    def plans(self) -> dict:
+        """Search plans with self as the pattern, per pin-key tuple; `search` fills it."""
+        return {}
 
     @cached_property
     def classifier(self):
@@ -381,11 +383,8 @@ def elements(x: CSetInstance) -> TypedGraph:
     """Category of elements: one vertex per part, one edge per column entry."""
     from .transform import Transformation
 
-    offset: dict[str, int] = {}
-    total = 0
-    for obj in x.schema.objects:
-        offset[obj] = total
-        total += x.card[obj]
+    starts = list(accumulate((x.card[obj] for obj in x.schema.objects), initial=0))
+    offset, total = dict(zip(x.schema.objects, starts)), starts[-1]
     src: list[int] = []
     tgt: list[int] = []
     edge_types: list[int] = []

@@ -5,14 +5,15 @@ names and refuses otherwise; SPO cascades deletions to every part with
 a path of columns into a deleted part; SqPO copies context when l
 identifies parts, working only on the parts with a path into the match.
 Both find those parts with `instance.deletion_closure`, so no step
-builds a preimage index on an acyclic schema.
+builds a preimage index on an acyclic schema. `Rule` checks its legs and
+a step its match, once: what the step builds from them is not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .colimits import _into_restriction, final_pullback_complement, pushout, pushout_complement
+from .colimits import _final_pullback_complement, _into_restriction, _pushout, pushout_complement
 from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
 from .instance import CSetInstance, _restrict_removing, deletion_closure
 from .search import SearchOptions, homomorphisms
@@ -73,7 +74,7 @@ def _push_out_rhs(
 
     K's parts keep their ids when r is monic; the new parts follow them.
     """
-    po = pushout(rule.r, i_to_k)
+    po = _pushout(rule.r, i_to_k)
     return RewriteOutcome(
         result=po.apex,
         k=i_to_k.cod,
@@ -107,21 +108,16 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
     _check_match(rule, match)
     if not rule.l.is_monic():
         raise NotMonicError("SPO requires a monic left rule leg")
-    g = match.cod
+    g, l_match = match.cod, rule.l.compose(match)  # each I-part's host image
     schema = g.schema
-    interface = rule.interface
     core = {
         obj: {match.comp[obj][p - 1] for p in set(rule.lhs.parts(obj)) - rule.l.image(obj)}
         for obj in schema.objects
     }
-
-    def host_image(obj: str, i: int) -> int:
-        return match.comp[obj][rule.l.comp[obj][i - 1] - 1]
-
     groups: dict[tuple[str, int], set[int]] = {}  # host images of I-parts sharing an r-image
     for obj in schema.objects:
-        for i, v in enumerate(rule.r.comp[obj], start=1):
-            groups.setdefault((obj, v), set()).add(host_image(obj, i))
+        for v, h in zip(rule.r.comp[obj], l_match.comp[obj]):
+            groups.setdefault((obj, v), set()).add(h)
     dead_g = deletion_closure(g, core)
     # deadness spreads through identifications made by r
     while partly := [(o, hs) for (o, _), hs in groups.items() if 0 < len(hs & dead_g[o]) < len(hs)]:
@@ -129,7 +125,7 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
             dead_g[o] |= hs
         dead_g = deletion_closure(g, dead_g)
     dead_i = {
-        obj: {i for i in interface.parts(obj) if host_image(obj, i) in dead_g[obj]}
+        obj: {i for i, h in enumerate(l_match.comp[obj], start=1) if h in dead_g[obj]}
         for obj in schema.objects
     }
 
@@ -138,10 +134,10 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
         rule.rhs, {obj: {rule.r.comp[obj][i - 1] for i in dead_i[obj]} for obj in schema.objects}
     )
     _, r_kept, _ = _restrict_removing(rule.rhs, dead_r)
-    _, j_to_i, _ = _restrict_removing(interface, dead_i)
+    _, j_to_i, _ = _restrict_removing(rule.interface, dead_i)
     j_to_r = factor_through(j_to_i.compose(rule.r), r_kept)
-    j_to_k = _into_restriction(j_to_i.compose(rule.l).compose(match), k_to_g, moved)
-    po = pushout(j_to_r, j_to_k)
+    j_to_k = _into_restriction(j_to_i.compose(l_match), k_to_g, moved)
+    po = _pushout(j_to_r, j_to_k)
     return RewriteOutcome(
         result=po.apex,
         k=k,
@@ -165,7 +161,9 @@ def rewrite_sqpo(rule: Rule, match: Transformation) -> RewriteOutcome:
     and the schema acyclic (the classifier is finite only then).
     """
     _check_match(rule, match)
-    return _push_out_rhs(rule, match, *final_pullback_complement(rule.l, match))
+    if not match.is_monic():
+        raise NotMonicError("final pullback complements require a monic match")
+    return _push_out_rhs(rule, match, *_final_pullback_complement(rule.l, match))
 
 
 _ENGINES = {DPO: rewrite_dpo, SPO: rewrite_spo, SQPO: rewrite_sqpo}

@@ -5,21 +5,21 @@ as domain values. Assigning a part immediately forces the images of all
 its column successors, so a single branching decision fixes whole orbits
 and conflicts surface as early as possible.
 
-The branching order is fixed once per search, from the pattern alone.
-Each connected component of the pattern starts at a part of the most
-source-ward object (`SchemaPresentation.sources_first`: a triangle before
-its edges, an edge before its vertices) and grows breadth-first along
-columns and preimage indices. A part reached along a column is forced by
-its predecessor, so only the roots and the parts reached through a
-preimage index are branched on, and each of the latter draws its
-candidates from the host's preimage index of its already assigned
-target. Candidates come in ascending order and results are sorted, so
-the result list does not depend on the branching order; `limit` keeps
-the first matches found in that order, then sorts them. With the order
-fixed, so is what each branching step forces and checks: after the pins,
-each search compiles its order into a plan of straight-line steps, run
-on an explicit stack, so pattern size is not bounded by the
-interpreter's recursion limit.
+The branching order is fixed by the pattern alone. Each connected
+component of the pattern starts at a part of the most source-ward object
+(`SchemaPresentation.sources_first`: a triangle before its edges, an
+edge before its vertices) and grows breadth-first along columns and
+preimage indices. Only the roots and the parts reached through a
+preimage index are branched on, each of the latter on the host's
+preimages of its assigned target. Candidates come in ascending order and
+results are sorted, so the result list does not depend on the order;
+`limit` keeps the first matches found in it, then sorts them. With the
+order fixed, so is what each step forces and checks: a plan of
+straight-line steps is compiled once per pattern and pin-key tuple (the
+pinned (object, part) pairs, not their values) and kept on the pattern.
+It names host columns and indices by generator; each search binds them
+and runs the plan on an explicit stack, so pattern size is not bounded
+by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -66,55 +66,77 @@ def _branch_order(x: CSetInstance) -> Iterator[tuple[str, int]]:
                             queue.append((gen.dom, q))
 
 
-class _Search:
-    def __init__(self, x: CSetInstance, y: CSetInstance, opts: SearchOptions):
-        self.x, self.y, self.opts = x, y, opts
-        # a slot per pattern part, each object's in a run, then one for the value tried
-        objects = x.schema.objects
-        self.offset = dict(zip(objects, accumulate((x.card[obj] for obj in objects), initial=0)))
-        self.assign = [0] * (sum(x.card[obj] for obj in objects) + 1)
-        self.known = [False] * len(self.assign)  # assigned by a pin or an earlier step
-        self.used = {obj: [False] * y.card[obj] for obj in objects} if opts.monic else None
-        self.results: list[list[int]] = []
+def _compile(x: CSetInstance, keys: tuple[tuple[str, int], ...]) -> tuple:
+    """The pattern half of a search pinned at `keys`, naming no host: (slots, spans, steps).
 
-    def _step(self, obj: str, part: int) -> tuple:
-        """The fixed step that branches on an unassigned part; marks what it assigns.
+    A slot per pattern part, each object's in a run (`spans`: object,
+    start, length), then one for the value tried. A step is its
+    candidates, (slot of the first assigned target, generator) for its
+    host preimages or (None, object) for all host parts; its writes
+    (source slot, generator, slot, object) of its part, from the value
+    tried (generator None), and of the parts that forces; and its checks
+    (source slot, generator, slot) on assigned parts its candidates do
+    not imply. Pins come first: a pin's step draws from all host parts,
+    and a part an earlier pin forced only has the value tried checked
+    against it (generator None).
+    """
+    schema, column, objects = x.schema, x.column, x.schema.objects
+    offset = dict(zip(objects, accumulate((x.card[obj] for obj in objects), initial=0)))
+    known = [False] * (sum(x.card[obj] for obj in objects) + 1)  # assigned by a pin or an earlier step
 
-        A step is its candidates, (slot of the first assigned target, host
-        index) or (None, all host parts); the writes (source slot, host
-        column, slot, used marks) of its part, from the value tried, and
-        of the parts that forces, breadth-first; and the checks (source
-        slot, host column, slot) on assigned parts its candidates do not imply.
-        """
-        x, y, offset, known, used = self.x, self.y, self.offset, self.known, self.used
-        slot, every = offset[obj] + part - 1, range(1, y.card[obj] + 1)
-        narrowed, candidates = None, (None, every)
-        for g in x.schema.outgoing(obj):
-            d = offset[g.cod] + x.column[g.name][part - 1] - 1
+    def step(obj: str, part: int, pinned: bool = False) -> tuple:
+        """The step that assigns a part; marks what it assigns."""
+        slot = offset[obj] + part - 1
+        if known[slot]:
+            return None, obj, [], [(-1, None, slot)]
+        narrowed, candidates = None, (None, obj)
+        for g in () if pinned else schema.outgoing(obj):
+            d = offset[g.cod] + column[g.name][part - 1] - 1
             if known[d]:
-                narrowed, candidates = g.name, (d, y.index[g.name])
+                narrowed, candidates = g.name, (d, g.name)
                 break
         known[slot] = True
-        writes, checks = [(-1, every, slot, used and used[obj])], []
+        writes, checks = [(-1, None, slot, obj)], []
         queue = [(obj, part, slot)]
         for src_obj, src, s in queue:
-            for g in x.schema.outgoing(src_obj):
+            for g in schema.outgoing(src_obj):
                 if s == slot and g.name == narrowed:
                     continue
-                q = x.column[g.name][src - 1]
+                q = column[g.name][src - 1]
                 d = offset[g.cod] + q - 1
                 if known[d]:
-                    checks.append((s, y.column[g.name], d))
+                    checks.append((s, g.name, d))
                 else:
                     known[d] = True
-                    writes.append((s, y.column[g.name], d, used and used[g.cod]))
+                    writes.append((s, g.name, d, g.cod))
                     queue.append((g.cod, q, d))
         return *candidates, writes, checks
 
-    def _try(self, step: tuple, value: int) -> bool:
-        """Run the step's writes from `value`, then its checks."""
-        _, _, writes, checks = step
-        assign = self.assign
+    steps = [step(obj, part, True) for obj, part in keys]
+    steps += [step(obj, part) for obj, part in _branch_order(x) if not known[offset[obj] + part - 1]]
+    return len(known), [(obj, offset[obj], x.card[obj]) for obj in objects], steps
+
+
+def _run(steps: list, slots: int, y: CSetInstance, opts: SearchOptions, values: list) -> list[list[int]]:
+    """The host half: bind the steps to y's columns, index and monic marks, and run them.
+
+    A pin's one candidate is its value, if y has that part. Only under monic does a step
+    clear its slots and marks, before each try and when it runs out. Returns sorted slot lists.
+    """
+    column, every = y.column, {obj: range(1, n + 1) for obj, n in y.card.items()}
+    used = {obj: [False] * n for obj, n in y.card.items()} if opts.monic else None
+    steps = [
+        (d, every[src] if d is None else y.index[src],
+         [(s, every[obj] if g is None else column[g], t, used and used[obj]) for s, g, t, obj in writes],
+         [(s, every[src] if g is None else column[g], t) for s, g, t in checks])
+        for d, src, writes, checks in steps
+    ]
+    for i, value in enumerate(values):
+        _, parts, writes, checks = steps[i]
+        steps[i] = None, [value] if value in parts else (), writes, checks
+    assign, results, limit = [0] * slots, [], opts.limit
+
+    def try_(writes: list, checks: list, value: int) -> bool:
         assign[-1] = value
         for s, col, d, mark in writes:
             v = col[assign[s] - 1]
@@ -128,82 +150,42 @@ class _Search:
                 return False
         return True
 
-    def _clear(self, step: tuple) -> None:
-        assign = self.assign
-        for _, _, d, mark in step[2]:
+    def clear(writes: list) -> None:
+        for _, _, d, mark in writes:
             v = assign[d]
             if v:
                 mark[v - 1] = False
                 assign[d] = 0
 
-    def run(self) -> list[Transformation]:
-        limit = self.opts.limit
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be at least 0, got {limit}")
-        x, y, offset, assign = self.x, self.y, self.offset, self.assign
-        pins = self.opts.initial or {}
-        for obj, parts in pins.items():
-            if obj not in offset:
-                raise ValueError(f"pinned object {obj!r} is not in the schema")
-            for part in parts:
-                if not 1 <= part <= x.card[obj]:
-                    raise PartOutOfRangeError(
-                        f"pinned pattern part {part} outside 1..{x.card[obj]} for {obj!r}"
-                    )
-        # each pin is a one-candidate step, or a check if an earlier pin forced its part
-        for obj, parts in pins.items():
-            for part, value in parts.items():
-                slot = offset[obj] + part - 1
-                if self.known[slot]:
-                    ok = assign[slot] == value
-                else:
-                    step = d, index, _, _ = self._step(obj, part)
-                    ok = value in (index if d is None else index[assign[d] - 1]) and self._try(step, value)
-                if not ok:
-                    return []
-        if limit != 0:
-            known = self.known
-            self._branch([self._step(o, p) for o, p in _branch_order(x) if not known[offset[o] + p - 1]])
-        # comparing flat slot lists compares components by object, then part
-        self.results.sort()
-        spans = [(obj, offset[obj], x.card[obj]) for obj in x.schema.objects]
-        return [_adopt(x, y, {obj: a[i : i + n] for obj, i, n in spans}) for a in self.results]
-
-    def _branch(self, steps: list[tuple]) -> None:
-        """Depth-first enumeration over the steps, stopping at the limit.
-
-        Under monic a step clears its slots and marks before each try and
-        when it runs out. Without monic nothing is cleared: a step writes
-        its slots before reading them, and reads earlier steps' slots.
-        """
-        assign, results, limit = self.assign, self.results, self.opts.limit
-        monic, try_, clear = self.used is not None, self._try, self._clear
-        tried: list[Iterator[int]] = [iter(())] * len(steps)  # per step, its candidates left
-        depth = 0  # steps entered
-        while True:
-            if depth == len(steps):
-                results.append(assign[:-1])
-                if limit is not None and len(results) >= limit:
-                    return
-            else:
-                d, index, _, _ = steps[depth]
-                tried[depth] = iter(index if d is None else index[assign[d] - 1])
-                depth += 1
-            while depth:
-                step = steps[depth - 1]
-                if monic:
-                    clear(step)
-                for value in tried[depth - 1]:
-                    if try_(step, value):
-                        break
-                    if monic:
-                        clear(step)
-                else:
-                    depth -= 1
-                    continue
+    tried: list[Iterator[int]] = [iter(())] * len(steps)  # per step, its candidates left
+    depth = 0  # steps entered
+    while True:
+        if depth == len(steps):
+            results.append(assign[:-1])
+            if limit is not None and len(results) >= limit:
                 break
+        else:
+            d, index, _, _ = steps[depth]
+            tried[depth] = iter(index if d is None else index[assign[d] - 1])
+            depth += 1
+        while depth:
+            _, _, writes, checks = steps[depth - 1]
+            for value in tried[depth - 1]:
+                if used:
+                    clear(writes)
+                if try_(writes, checks, value):
+                    break
             else:
-                return
+                if used:
+                    clear(writes)
+                depth -= 1
+                continue
+            break
+        else:
+            break
+    # comparing flat slot lists compares components by object, then part
+    results.sort()
+    return results
 
 
 def homomorphisms(
@@ -222,7 +204,24 @@ def homomorphisms(
     """
     if x.schema != y.schema:
         raise ValueError("homomorphism search requires a shared schema")
-    return _Search(x, y, opts or SearchOptions()).run()
+    opts = opts or SearchOptions()
+    if opts.limit is not None and opts.limit < 0:
+        raise ValueError(f"limit must be at least 0, got {opts.limit}")
+    pins = opts.initial or {}
+    for obj, parts in pins.items():
+        if obj not in x.card:
+            raise ValueError(f"pinned object {obj!r} is not in the schema")
+        for part in parts:
+            if not 1 <= part <= x.card[obj]:
+                raise PartOutOfRangeError(f"pinned pattern part {part} outside 1..{x.card[obj]} for {obj!r}")
+    if opts.limit == 0:
+        return []
+    keys = tuple((obj, part) for obj, parts in pins.items() for part in parts)
+    if keys not in x.plans:
+        x.plans[keys] = _compile(x, keys)
+    slots, spans, steps = x.plans[keys]
+    found = _run(steps, slots, y, opts, [value for parts in pins.values() for value in parts.values()])
+    return [_adopt(x, y, {obj: a[i : i + n] for obj, i, n in spans}) for a in found]
 
 
 def is_isomorphic(x: CSetInstance, y: CSetInstance) -> Transformation | None:

@@ -28,6 +28,15 @@ class Transformation:
 
         return classifier_map(self.dom.classifier, self.cod.classifier, self)
 
+    @cached_property
+    def classifier_fibres(self) -> dict[str, dict[int, list[int]]]:
+        """Per object, the ascending T(dom)-parts over each T(cod)-part under T(self), kept like it."""
+        fibres: dict[str, dict[int, list[int]]] = {obj: {} for obj in self.dom.schema.objects}
+        for obj, col in self.classifier_map.comp.items():
+            for t, image in enumerate(col, start=1):
+                fibres[obj].setdefault(image, []).append(t)
+        return fibres
+
     def apply(self, obj: str, part: int) -> int:
         return self.comp[obj][part - 1]
 

@@ -2,13 +2,22 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from csetrw import colimits
 from csetrw import instance as instance_module
-from csetrw.colimits import Classifier, _into_restriction, check_pushout_complement, coproduct, pushout
+from csetrw.colimits import (
+    Classifier,
+    _into_restriction,
+    check_pushout_complement,
+    coproduct,
+    final_pullback_complement,
+    pushout,
+)
 from csetrw.errors import (
     ComplementViolationsError,
     CyclicSchemaError,
@@ -420,11 +429,57 @@ def test_sqpo_builds_each_classifier_once_per_rule(d2, triangle, classifier_buil
     lhs = make_instance(d2, {"V": 1}, {})
     interface = make_instance(d2, {"V": 2}, {})
     rule = Rule(Transformation(interface, lhs, {"V": [1, 1]}), identity(interface), kind=SQPO)
+    fibres_built = []
+    build_fibres = Transformation.classifier_fibres.func
+    counted = cached_property(lambda t: fibres_built.append(t) or build_fibres(t))
+    counted.__set_name__(Transformation, "classifier_fibres")
+    monkeypatch.setattr(Transformation, "classifier_fibres", counted)
     for v in (1, 2):
         rewrite_sqpo(rule, Transformation(lhs, triangle, {"V": [v]}))
     assert len(classifier_builds) == 2
     assert classifier_builds[0] is lhs and classifier_builds[1] is interface
     assert len(maps_built) == 1 and maps_built[0] is rule.l
+    assert len(fibres_built) == 1 and fibres_built[0] is rule.l
+
+
+@pytest.fixture()
+def naturality_checks(monkeypatch):
+    """The maps `is_natural` is run on, in order, whichever module calls it."""
+    checked = []
+
+    def counting(t):
+        checked.append(t)
+        return is_natural(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "csetrw" and getattr(module, "is_natural", None) is is_natural:
+            monkeypatch.setattr(module, "is_natural", counting)
+    return checked
+
+
+def _clone_rule(d2):
+    lhs, interface = make_instance(d2, {"V": 1}, {}), make_instance(d2, {"V": 2}, {})
+    return Rule(Transformation(interface, lhs, {"V": [1, 1]}), identity(interface), kind=SQPO)
+
+
+@pytest.mark.parametrize("kind, rule_name", [(DPO, "flip"), (SQPO, "flip"), (SQPO, "clone")])
+def test_a_rewrite_step_checks_naturality_once_on_the_match(kind, rule_name, d2, naturality_checks):
+    mesh = gen_mesh(3, 3)
+    rule = Rule(flip_rule().l, flip_rule().r, kind=kind) if rule_name == "flip" else _clone_rule(d2)
+    matches = homomorphisms(rule.lhs, mesh, SearchOptions(monic=True))
+    assert len(matches) >= 9
+    for match in matches:
+        naturality_checks.clear()
+        out = rewrite(rule, match)
+        assert len(naturality_checks) == 1 and naturality_checks[0] is match
+        assert validate_instance(out.result) == []
+    # the public constructions still check what they are given
+    naturality_checks.clear()
+    if kind == SQPO:
+        final_pullback_complement(rule.l, matches[0])
+    else:
+        pushout(rule.r, rule.r)
+    assert len(naturality_checks) == 2
 
 
 def test_parsing_and_constructing_build_no_classifier(d2, classifier_builds):

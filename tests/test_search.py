@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from csetrw import search as search_module
 from csetrw.errors import PartOutOfRangeError
 from csetrw.instance import empty_instance, make_instance
 from csetrw.mesh import gen_mesh, quad_pattern
@@ -230,3 +231,67 @@ def test_search_pinned_at_a_vertex_finishes():
         # the corner cell, with its two triangles either way round
         assert len(found) == 2
         assert [t.comp["V"][0] for t in found] == [1, 1]
+
+
+def test_a_pattern_keeps_its_plans_across_hosts():
+    # one pattern object searched into host after host, against brute force
+    # and against a fresh copy of the pattern, which compiles its plan anew
+    rng = random.Random(43)
+    seen = {"monic": 0, "unpinned": 0, "pinned": 0, "found": 0}
+    for _ in range(40):
+        schema = random_acyclic_schema(rng) if rng.random() < 0.5 else random_cyclic_schema(rng)
+        x = random_instance(rng, schema, max_parts=3)
+        for _ in range(5):
+            y = random_instance(rng, schema, max_parts=3)
+            monic = rng.random() < 0.5
+            homs = brute_homs(x, y, monic=monic)
+            pins = random_pins(rng, x, y, homs, rng.randint(1, 3)) if rng.random() < 0.6 else {}
+            expected = [
+                t for t in homs
+                if all(t.comp[o][p - 1] == v for o, ps in pins.items() for p, v in ps.items())
+            ]
+            for limit in (None, 1):
+                opts = SearchOptions(monic=monic, initial=pins, limit=limit)
+                cold = make_instance(schema, x.card, x.column)
+                found = homomorphisms(x, y, opts)
+                assert found == homomorphisms(cold, y, opts)
+                if limit is None:
+                    assert found == expected
+                else:
+                    assert len(found) == min(limit, len(expected)) and all(t in expected for t in found)
+            seen["monic"] += monic
+            seen["pinned" if pins else "unpinned"] += 1
+            seen["found"] += bool(expected)
+    assert min(seen.values()) >= 40, seen
+
+
+def _leaves(value):
+    if isinstance(value, (list, tuple, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_a_plan_is_compiled_once_per_pattern_and_pin_keys(monkeypatch):
+    compiled = []
+    order = search_module._branch_order
+    monkeypatch.setattr(search_module, "_branch_order", lambda x: compiled.append(x) or order(x))
+    pattern, hosts = quad_pattern(), [gen_mesh(2, 3), gen_mesh(3, 2), gen_mesh(1, 1)]
+    for host in hosts:
+        assert len(homomorphisms(pattern, host)) == 2 * host.card["T"]  # four per cell
+    assert compiled == [pattern]
+    for monic in (False, True):
+        for v in (1, 2, 7, 99):  # new pin values, and a value past the host's parts
+            homomorphisms(pattern, hosts[0], SearchOptions(monic=monic, initial={"V": {1: v}}))
+    assert len(compiled) == 2
+    for pins in ({"V": {2: 1}}, {"V": {1: 1, 2: 2}}, {"V": {2: 2, 1: 1}}, {"E": {5: 3}, "V": {1: 1}}):
+        homomorphisms(pattern, hosts[0], SearchOptions(initial=pins))
+        homomorphisms(pattern, hosts[1], SearchOptions(initial=pins, limit=1))
+    assert len(compiled) == 6 and all(x is pattern for x in compiled)
+    assert set(pattern.plans) == {(), (("V", 1),), (("V", 2),), (("V", 1), ("V", 2)), (("V", 2), ("V", 1)),
+                                  (("E", 5), ("V", 1))}
+    homomorphisms(quad_pattern(), hosts[0])  # an equal pattern object has plans of its own
+    assert len(compiled) == 7
+    # a plan names host columns and indices by generator and holds no host
+    assert all(v is None or type(v) in (int, str) for v in _leaves(list(pattern.plans.values())))
