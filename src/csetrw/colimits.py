@@ -21,8 +21,12 @@ once and calls `_pushout` and `_final_pullback_complement`, which check
 nothing, on the rule legs `Rule` checked and the maps the step built.
 
 The partial map classifier T(X) is built sinks first, with no search.
+χ, the map classifying a partial map into X, is one more pass in that
+order over the parts it is asked for; any other part classifies as ⊥,
+the map defined nowhere, whose T-part per object is fixed with T(X).
 A pushout complement reads only what it deletes, and a final pullback
-complement only the parts of G from which some path reaches the match.
+complement only the parts of G from which some path reaches the match,
+the only parts whose χ is not ⊥.
 T(X) is built on first use and kept on X, like the preimage index, and
 T(l) and its fibres on l, so a rule's T(L), T(I) and T(l) are built once.
 """
@@ -401,12 +405,14 @@ class Classifier:
         self.x, self.schema = x, schema
         self._tuples: dict[str, list[tuple[int, ...]]] = {}  # per object, after X's parts
         self._index: dict[str, dict[tuple[int, ...], int]] = {}  # per object, tuple -> T-part
+        self._bottom: dict[str, int] = {}  # per object, ⊥: the map defined nowhere
         card: dict[str, int] = {}
         columns: dict[str, list[int]] = {}
         for c in reversed(schema.sources_first):
             gens, n = schema.outgoing(c), x.card[c]
             self._tuples[c] = tuples = self._agreeing(c, gens, card, columns)
             self._index[c] = dict(zip(tuples, range(n + 1, n + 1 + len(tuples))))
+            self._bottom[c] = self._index[c][tuple(self._bottom[gen.cod] for gen in gens)]
             card[c] = n + len(tuples)
             for i, gen in enumerate(gens):
                 columns[gen.name] = x.column[gen.name] + list(map(itemgetter(i), tuples))
@@ -459,30 +465,27 @@ class Classifier:
             raise NotMonicError("the domain of a partial map must include monically")
         if sub.dom != f.dom:
             raise ValueError("partial map legs must share their domain")
-        a = sub.cod
-        known = {d: dict(zip(sub.comp[d], f.comp[d])) for d in self.schema.objects}
-        comp = {c: [self._classify(a, known, c, part) for part in a.parts(c)] for c in self.schema.objects}
-        return _adopt(a, self.instance, comp)
+        a, objects = sub.cod, self.schema.objects
+        known = {d: dict(zip(sub.comp[d], f.comp[d])) for d in objects}
+        self._classify(a, known, {c: a.parts(c) for c in objects})
+        return _adopt(a, self.instance, {c: list(map(known[c].__getitem__, a.parts(c))) for c in objects})
 
-    def _classify(self, a: CSetInstance, known: dict[str, dict[int, int]], c: str, part: int) -> int:
-        """The T-part classifying one part of A at c.
+    def _classify(self, a: CSetInstance, known: dict[str, dict[int, int]], parts: dict) -> None:
+        """Add the T-part classifying each of `parts` of A to `known`, sinks first.
 
         `known` holds per object {A-part: T-part}. It starts as the partial
-        map A -> X, since X's parts are T's, and every part classified is
-        added: one undefined at c is the tuple of its images' classes. A
-        stack of parts waiting for their images replaces recursion, so a
-        long schema path cannot exhaust Python's stack.
+        map A -> X, since X's parts are T's. A part undefined at c is the
+        tuple of its images' classes, which are settled before c is
+        reached. An image neither known nor among `parts` classifies as ⊥,
+        so `parts` must hold every part that some path takes into the
+        partial map's domain.
         """
-        stack: list = [(c, part, None)]  # a part, then again with its images once they are pushed
-        while stack:
-            d, p, images = stack.pop()
-            if images is not None:
-                known[d][p] = self._index[d][tuple(known[e][q] for e, q in images)]
-            elif p not in known[d]:
-                images = [(gen.cod, a.column[gen.name][p - 1]) for gen in self.schema.outgoing(d)]
-                stack.append((d, p, images))
-                stack += [(e, q, None) for e, q in images if q not in known[e]]
-        return known[c][part]
+        for c in reversed(self.schema.sources_first):
+            gens, index, done = self.schema.outgoing(c), self._index[c], known[c]
+            images = [(a.column[g.name], known[g.cod], self._bottom[g.cod]) for g in gens]
+            for p in parts[c]:
+                if p not in done:
+                    done[p] = index[tuple([seen.get(col[p - 1], bottom) for col, seen, bottom in images])]
 
 
 def partial_map_classifier(x: CSetInstance) -> Classifier:
@@ -543,10 +546,9 @@ def _final_pullback_complement(l: Transformation, match: Transformation) -> tupl
     near = deletion_closure(g, {d: set(match.comp[d]) for d in schema.objects})
     over = l.classifier_fibres
     known = {d: {v: p for p, v in enumerate(match.comp[d], start=1)} for d in schema.objects}
-    fibres = {  # (G-part, its T(I)-parts) near the match
-        c: [(h, over[c].get(t_l._classify(g, known, c, h), [])) for h in sorted(near[c])]
-        for c in schema.objects
-    }
+    t_l._classify(g, known, near)
+    # (G-part, its T(I)-parts) near the match
+    fibres = {c: [(h, over[c].get(known[c][h], [])) for h in sorted(near[c])] for c in schema.objects}
     sub, incl, moved = _restrict_removing(g, {c: {h for h, ts in fibres[c] if not ts} for c in schema.objects})
     card, k_to_g = sub.card, incl.comp
     pair_id: dict[str, dict[tuple[int, int], int]] = {}  # K-part of each near (G-part, T(I)-part)

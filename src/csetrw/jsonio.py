@@ -235,7 +235,6 @@ class Workspace:
     def __init__(self):
         self.schemas: dict[str, SchemaPresentation] = {}
         self.schema_violations: dict[str, list[str]] = {}  # found once, at load or resolve
-        self.raw: dict[str, tuple[str, object]] = {}
 
     def resolve(self, name: str) -> SchemaPresentation:
         """The schema registered as `name`, validated once even if stored
@@ -265,5 +264,4 @@ class Workspace:
         if kind == "schema":
             self.schemas[name] = parse_schema(obj)
             self.schema_violations[name] = validate_schema(self.schemas[name])
-        self.raw[name] = (kind, obj)
         return name, kind, obj

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colimits import Diagram, cocone_induced, diagram_colimit, pushout, pushout_complement
+from .colimits import Diagram, cocone_induced, diagram_colimit, pushout
 from .errors import (
     CommutativityFailureError,
     ComplementViolationsError,
@@ -18,7 +18,7 @@ from .errors import (
     TypingMismatchError,
 )
 from .instance import CSetInstance, make_instance
-from .rewrite import RewriteOutcome, Rule, rewrite_dpo
+from .rewrite import RewriteOutcome, Rule, rewrite, rewrite_dpo
 from .schema import Generator, SchemaPath, SchemaPresentation
 from .transform import Transformation, factor_through, identity, is_natural
 
@@ -178,11 +178,13 @@ def migrate_transformation(
 def slice_rewrite(
     rule: Rule, match: Transformation, typings: dict[str, Transformation]
 ) -> tuple[SliceInstance, RewriteOutcome]:
-    """DPO rewrite performed over a fixed base instance.
+    """`rewrite` with the rule's kind, performed over a fixed base instance.
 
     `typings` maps "L", "I", "R", "G" to the typing morphisms. The rule
-    and match must commute with them; the result typing is induced by the
-    universal property of the result pushout.
+    and match must commute with them. C-Set/X computes its (co)limits on
+    the underlying C-sets, so the step is the C-set one: K is typed
+    through `k_to_g` and the result by the universal property of the
+    result pushout, out of R or, for SPO, out of `r_kept`.
     """
     t_l, t_i, t_r, t_g = (typings[k] for k in ("L", "I", "R", "G"))
     base = t_g.cod
@@ -193,11 +195,10 @@ def slice_rewrite(
         raise TypingMismatchError("rule legs do not commute with the typings")
     if match.compose(t_g) != t_l:
         raise TypingMismatchError("match does not commute with the typings")
-    outcome = rewrite_dpo(rule, match)
-    t_k = outcome.maps["k_to_g"].compose(t_g)
-    t_result = cocone_induced(
-        outcome.maps["r_to_result"], outcome.maps["k_to_result"], t_r, t_k
-    )
+    outcome = rewrite(rule, match)
+    maps = outcome.maps
+    t_r = maps["r_kept"].compose(t_r) if "r_kept" in maps else t_r
+    t_result = cocone_induced(maps["r_to_result"], maps["k_to_result"], t_r, maps["k_to_g"].compose(t_g))
     return SliceInstance(t_result), outcome
 
 
@@ -301,11 +302,12 @@ class OpenRewriteOutcome:
 
 
 def open_rewrite(rule: OpenRule, match: CospanMorphism) -> OpenRewriteOutcome:
-    """DPO rewriting of structured cospans, foot- and apex-wise.
+    """DPO rewriting of structured cospans: `rewrite_dpo` at each level.
 
-    Pushout complements run at each level; the feet of the intermediate
-    and result cospans are connected to their apexes by induced maps,
-    which must exist for the rewrite to be well formed.
+    The step runs on the input feet, the apexes and the output feet, and
+    refusals are gathered as (level, violation) pairs. The feet of the
+    intermediate and result cospans are connected to their apexes by
+    induced maps, which must exist for the rewrite to be well formed.
     """
     if match.dom != rule.l.cod:
         raise ValueError("match must start at the rule's left-hand cospan")
@@ -314,46 +316,33 @@ def open_rewrite(rule: OpenRule, match: CospanMorphism) -> OpenRewriteOutcome:
         "apex": (rule.l.apex_map, match.apex_map, rule.r.apex_map),
         "out": (rule.l.out_map, match.out_map, rule.r.out_map),
     }
-    comp = {}
+    steps = {}
     violations = []
-    for level, (l_map, m_map, _) in levels.items():
+    for level, (l_map, m_map, r_map) in levels.items():
         try:
-            comp[level] = pushout_complement(l_map, m_map)
+            steps[level] = rewrite_dpo(Rule(l_map, r_map), m_map).maps
         except ComplementViolationsError as exc:
             violations.extend((level, v) for v in exc.violations)
     if violations:
         raise ComplementViolationsError(violations)
-    g_cospan = match.cod
+    apex = steps["apex"]
 
-    def induced_leg(foot_level: str, g_leg: Transformation) -> Transformation:
+    def legs(level: str, g_leg: Transformation, rhs_leg: Transformation) -> tuple[Transformation, Transformation]:
+        foot = steps[level]
         try:
-            return factor_through(comp[foot_level][1].compose(g_leg), comp["apex"][1])
+            k_leg = factor_through(foot["k_to_g"].compose(g_leg), apex["k_to_g"])
         except ValueError as exc:
             raise CommutativityFailureError(
-                f"a surviving {foot_level} foot part has a deleted apex image: {exc}"
+                f"a surviving {level} foot part has a deleted apex image: {exc}"
             ) from exc
-
-    k_cospan = StructuredCospan(
-        induced_leg("in", g_cospan.in_leg), induced_leg("out", g_cospan.out_leg)
-    )
-    pos = {level: pushout(levels[level][2], comp[level][0]) for level in levels}
-
-    def result_leg(foot_level: str, rhs_leg: Transformation, k_leg: Transformation) -> Transformation:
         # the legs pushed into the apex form a cocone by construction, so it is not rechecked
-        apex, foot = pos["apex"], pos[foot_level]
-        return cocone_induced(foot.leg_b, foot.leg_c, rhs_leg.compose(apex.leg_b), k_leg.compose(apex.leg_c))
+        return k_leg, cocone_induced(
+            foot["r_to_result"], foot["k_to_result"],
+            rhs_leg.compose(apex["r_to_result"]), k_leg.compose(apex["k_to_result"]),
+        )
 
-    h_cospan = StructuredCospan(
-        result_leg("in", rule.r.cod.in_leg, k_cospan.in_leg),
-        result_leg("out", rule.r.cod.out_leg, k_cospan.out_leg),
-    )
-    maps = {
-        level: {
-            "i_to_k": comp[level][0],
-            "k_to_g": comp[level][1],
-            "r_to_result": pos[level].leg_b,
-            "k_to_result": pos[level].leg_c,
-        }
-        for level in levels
-    }
-    return OpenRewriteOutcome(result=h_cospan, k=k_cospan, maps=maps)
+    k_in, h_in = legs("in", match.cod.in_leg, rule.r.cod.in_leg)
+    k_out, h_out = legs("out", match.cod.out_leg, rule.r.cod.out_leg)
+    # each level's match is the caller's own `match` map, so only the step's built maps are returned
+    maps = {level: {name: t for name, t in m.items() if name != "match"} for level, m in steps.items()}
+    return OpenRewriteOutcome(StructuredCospan(h_in, h_out), StructuredCospan(k_in, k_out), maps)

@@ -17,7 +17,7 @@ from .colimits import _final_pullback_complement, _into_restriction, _pushout, p
 from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
 from .instance import CSetInstance, _restrict_removing, deletion_closure
 from .search import SearchOptions, homomorphisms
-from .transform import Transformation, factor_through, is_natural
+from .transform import Transformation, is_natural
 
 DPO = "dpo"
 SPO = "spo"
@@ -133,9 +133,9 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
     dead_r = deletion_closure(
         rule.rhs, {obj: {rule.r.comp[obj][i - 1] for i in dead_i[obj]} for obj in schema.objects}
     )
-    _, r_kept, _ = _restrict_removing(rule.rhs, dead_r)
+    _, r_kept, r_moved = _restrict_removing(rule.rhs, dead_r)
     _, j_to_i, _ = _restrict_removing(rule.interface, dead_i)
-    j_to_r = factor_through(j_to_i.compose(rule.r), r_kept)
+    j_to_r = _into_restriction(j_to_i.compose(rule.r), r_kept, r_moved)
     j_to_k = _into_restriction(j_to_i.compose(l_match), k_to_g, moved)
     po = _pushout(j_to_r, j_to_k)
     return RewriteOutcome(

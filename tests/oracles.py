@@ -161,6 +161,27 @@ def typed_graph_minus(tg: TypedGraph, removed: set[int]) -> TypedGraph:
     return TypedGraph(graph, typing, tg.schema)
 
 
+def random_typed_graph(rng, base: CSetInstance, max_vertices: int, max_edges: int) -> Transformation:
+    """A random graph with its typing into the graph `base`, which has a vertex.
+
+    Each vertex takes a random type. Each edge takes a random base edge
+    with vertices over both of its ends, and joins two such vertices.
+    """
+    types = [rng.randint(1, base.card["V"]) for _ in range(rng.randint(1, max_vertices))]
+    over = {t: [v for v, u in enumerate(types, 1) if u == t] for t in base.parts("V")}
+    usable = [e for e in base.parts("E") if over[base.apply("src", e)] and over[base.apply("tgt", e)]]
+    edges = [rng.choice(usable) for _ in range(rng.randint(0, max_edges))] if usable else []
+    graph = make_instance(
+        GRAPH,
+        {"V": len(types), "E": len(edges)},
+        {
+            "src": [rng.choice(over[base.apply("src", e)]) for e in edges],
+            "tgt": [rng.choice(over[base.apply("tgt", e)]) for e in edges],
+        },
+    )
+    return Transformation(graph, base, {"V": types, "E": edges})
+
+
 def random_acyclic_schema(rng, max_objects: int = 3, max_gens: int = 3) -> SchemaPresentation:
     n = rng.randint(2, max_objects)
     objects = [f"O{i}" for i in range(n)]

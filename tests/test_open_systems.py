@@ -30,11 +30,11 @@ from csetrw.open_systems import (
     slice_schema,
     slice_to_cset,
 )
-from csetrw.rewrite import DPO, Rule, rewrite_dpo
-from csetrw.search import is_isomorphic
+from csetrw.rewrite import DPO, KINDS, SPO, SQPO, Rule, rewrite, rewrite_dpo
+from csetrw.search import SearchOptions, homomorphisms, is_isomorphic
 from csetrw.transform import Transformation, identity, is_natural
 
-from oracles import brute_homs, random_instance
+from oracles import GRAPH, brute_homs, random_closed_parts, random_instance, random_typed_graph, subinstance
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +165,90 @@ def test_slice_rewrite_agrees_with_migrated_path(graph):
     m_r = migrate_transformation(rule.r, migrated["I"], migrated["R"], slices["I"], slices["R"])
     m_match = migrate_transformation(match, migrated["L"], migrated["G"], slices["L"], slices["G"])
     out = rewrite_dpo(Rule(m_l, m_r, kind=DPO), m_match)
+    # an isomorphism of (∫X)-sets is an isomorphism over X
+    assert is_isomorphic(slice_to_cset(direct).instance, out.result) is not None
     back = cset_to_slice(out.result, base)
     assert is_isomorphic(back.total, direct.total) is not None
+
+
+def _base_with_loop(rng):
+    """A random graph X with at least one loop, to type instances over."""
+    n = rng.randint(1, 3)
+    ends = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+    loop = rng.randint(1, n)
+    ends.append((loop, loop))
+    return make_instance(
+        GRAPH, {"V": n, "E": len(ends)}, {"src": [s for s, _ in ends], "tgt": [t for _, t in ends]}
+    )
+
+
+def _typed_rule(rng, t_l, kind):
+    """A rule over t_l's base and its typings: l deletes vertices and edges
+    (for SqPO it may also clone a vertex) and r adds loops typed by X's loops."""
+    lhs, base = t_l.dom, t_l.cod
+    kept = random_closed_parts(rng, lhs, keep_probability=0.6)
+    interface = subinstance(lhs, kept)
+    l_comp = {obj: sorted(kept[obj]) for obj in ("V", "E")}
+    if kind == SQPO and interface.card["V"] and rng.random() < 0.5:
+        l_comp["V"].append(rng.choice(l_comp["V"]))  # a vertex with no edges, over a kept one
+        interface = make_instance(GRAPH, {"V": len(l_comp["V"]), "E": len(l_comp["E"])}, interface.column)
+    l = Transformation(interface, lhs, l_comp)
+    t_i = l.compose(t_l)
+    loops = [
+        (v, e)
+        for v, t in enumerate(t_i.comp["V"], start=1)
+        for e in base.parts("E")
+        if base.apply("src", e) == base.apply("tgt", e) == t and rng.random() < 0.5
+    ]
+    rhs = make_instance(
+        GRAPH,
+        {"V": interface.card["V"], "E": interface.card["E"] + len(loops)},
+        {name: interface.column[name] + [v for v, _ in loops] for name in ("src", "tgt")},
+    )
+    r = Transformation(interface, rhs, {obj: list(interface.parts(obj)) for obj in ("V", "E")})
+    t_r = Transformation(rhs, base, {"V": t_i.comp["V"], "E": t_i.comp["E"] + [e for _, e in loops]})
+    return Rule(l, r, kind=kind), {"L": t_l, "I": t_i, "R": t_r}
+
+
+def _migrated_step(rule, match, typings):
+    """The same step on the rule and match migrated to (∫X)-Set."""
+    slices = {key: SliceInstance(t) for key, t in typings.items()}
+    migrated = {key: slice_to_cset(s) for key, s in slices.items()}
+
+    def move(f, dom, cod):
+        return migrate_transformation(f, migrated[dom], migrated[cod], slices[dom], slices[cod])
+
+    return rewrite(Rule(move(rule.l, "I", "L"), move(rule.r, "I", "R"), kind=rule.kind), move(match, "L", "G"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_slice_rewrite_agrees_over_the_base(kind):
+    # C-Set/X is (∫X)-Set, so a step over X must agree with the step on the
+    # migrated rule and match, up to an isomorphism of (∫X)-sets
+    rng = random.Random(f"slice {kind}")
+    applied = partial = 0
+    for _ in range(160):
+        base = _base_with_loop(rng)
+        t_l, t_g = random_typed_graph(rng, base, 3, 3), random_typed_graph(rng, base, 6, 8)
+        rule, typings = _typed_rule(rng, t_l, kind)
+        typings["G"] = t_g
+        opts = SearchOptions(monic=kind == SQPO)
+        matches = [m for m in homomorphisms(rule.lhs, t_g.dom, opts) if m.compose(t_g) == t_l]
+        if not matches:
+            continue
+        match = rng.choice(matches)
+        try:
+            result, out = slice_rewrite(rule, match, typings)
+        except ComplementViolationsError:
+            with pytest.raises(ComplementViolationsError):
+                _migrated_step(rule, match, typings)
+            continue
+        assert is_isomorphic(slice_to_cset(result).instance, _migrated_step(rule, match, typings).result) is not None
+        applied += 1
+        if kind == SPO and not match.is_monic() and out.maps["r_kept"].dom.card != rule.rhs.card:
+            partial += 1
+    assert applied >= 30
+    assert kind != SPO or partial >= 10
 
 
 # ---------------------------------------------------------------------------

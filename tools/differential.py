@@ -13,8 +13,10 @@ or contradict each other), `is_isomorphic`, pushouts, pullbacks,
 and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
 that feed each result back as the next host, the partial map
 classifier (half of its cases over closed pieces of a mesh, whose schema
-has equations), `diagram_colimit` with `coproduct` (small diagrams, and
-diagrams of up to 12 nodes with spans, parallel arrows and self-arrows),
+has equations), recorded through its unit and through
+`classify_partial` of a random partial map, `diagram_colimit` with
+`coproduct` (small diagrams, and diagrams of up to 12 nodes with spans,
+parallel arrows and self-arrows),
 chains of structured cospans composed one after another, and
 `open_rewrite` (in half of these cases r is I's injection into I plus a
 random instance, with R's legs composed through it, so that the
@@ -388,23 +390,38 @@ def case_chain(rng):
 
 
 def case_classifier(rng):
-    """T(X) of a small X, recorded through its unit X -> T(X).
+    """T(X) of a small X, recorded through its unit X -> T(X), and χ.
 
     Half of the X are drawn over a random acyclic schema, which has no
     equations; the other half are closed pieces of a 1x1 or 1x2 mesh over
     `delta2_schema`, whose equations tie each triangle's edges together.
+    χ: A -> T(X) classifies a partial map from an A drawn the same way:
+    a closed piece A' of A and a homomorphism A' -> X, found after at
+    most three draws of A' (the last keeping nothing, so A' is empty).
     """
     from oracles import random_acyclic_schema
 
     from csetrw import gen_mesh, partial_map_classifier
 
     if rng.random() < 0.5:
-        x = _small(rng, random_acyclic_schema(rng), 4, max_parts=2)
+        schema = random_acyclic_schema(rng)
+        x, a = (_small(rng, schema, limit, max_parts=2) for limit in (4, 6))
     else:
-        x, _ = _sub(rng, gen_mesh(1, rng.randint(1, 2)), 0.6)
+        (x, _), (a, _) = (_sub(rng, gen_mesh(1, rng.randint(1, 2)), 0.6) for _ in range(2))
     rec = Record(x.schema)
     rec.fix("x", x)
-    rec.map("eta", partial_map_classifier(x).eta)
+    rec.fix("a", a)
+    classifier = partial_map_classifier(x)
+    rec.map("eta", classifier.eta)
+    for keep in (0.6, 0.3, 0.0):
+        piece, sub = _sub(rng, a, keep)
+        f = _some_hom(rng, piece, x)
+        if f is not None:
+            break
+    rec.fix("piece", piece)
+    rec.map("sub", sub)
+    rec.map("f", f)
+    rec.map("chi", classifier.classify_partial(sub, f))
     return rec
 
 
