@@ -465,6 +465,8 @@ class Classifier:
             raise NotMonicError("the domain of a partial map must include monically")
         if sub.dom != f.dom:
             raise ValueError("partial map legs must share their domain")
+        if f.cod != self.x:
+            raise ValueError("the partial map must land in the classified instance")
         a, objects = sub.cod, self.schema.objects
         known = {d: dict(zip(sub.comp[d], f.comp[d])) for d in objects}
         self._classify(a, known, {c: a.parts(c) for c in objects})
@@ -501,6 +503,8 @@ def classifier_map(tdom: Classifier, tcod: Classifier, f: Transformation) -> Tra
 
     Parts of X go through f; a tuple goes entry by entry, sinks first.
     """
+    if f.dom != tdom.x or f.cod != tcod.x:
+        raise ValueError("classifier_map needs T(f.dom) and T(f.cod)")
     schema = tdom.schema
     comp: dict[str, list[int]] = {}
     for c in reversed(schema.sources_first):

@@ -257,7 +257,7 @@ class Workspace:
         path = Path(path)
         try:
             obj = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter on deep nesting
             raise ParseError(f"{path}: {exc}") from exc
         kind = detect_kind(obj)
         name = path.stem

@@ -1,8 +1,10 @@
 """Finitely presented schemas: objects, generating morphisms, path equations.
 
 A schema presents a category; instances over it are stored by `instance`.
-Path equality is decided by exhaustive enumeration, which is why the
-operations that need it are restricted to acyclic schemas.
+Two paths out of a are equal when they name the same part of the
+representable C(a, −), which the colimit engine's quotient builds from
+the paths out of a. Only an acyclic schema has finitely many paths, so
+path equality and the operations that need it are restricted to those.
 """
 
 from __future__ import annotations
@@ -172,105 +174,72 @@ def is_acyclic(schema: SchemaPresentation) -> bool:
     return not any(map(schema.on_cycle, schema.generators))
 
 
-class PathUniverse:
-    """All paths of an acyclic schema, partitioned modulo the equations.
+def _paths_from(schema: SchemaPresentation, a: str) -> dict[str, list[SchemaPath]]:
+    """The paths out of a per target, shortest first and then by generator index."""
+    paths: dict[str, list[SchemaPath]] = {o: [] for o in schema.objects}
+    todo = [(a, SchemaPath(a))]
+    for at, path in todo:  # breadth first: grows as it is walked
+        paths[at].append(path)
+        todo += [(gen.cod, SchemaPath(a, path.components + (gen.name,))) for gen in schema.outgoing(at)]
+    return paths
 
-    The congruence closure is computed by union-find seeded with the
-    presented equations and closed under pre- and post-composition by
-    single generators.
+
+def _representable(schema: SchemaPresentation, a: str) -> dict[str, dict[SchemaPath, int]]:
+    """Each path out of a, per target, with the part of C(a, −) it names.
+
+    C(a, −) is the free C-set on one part at a, whose parts are the paths
+    out of a, coequalized along p;lhs;q ~ p;rhs;q for every equation
+    (lhs, rhs) and every p and q that compose with it. For each p those
+    pairs are the images of two natural maps out of the free C-set on the
+    equation's target, so `_quotient` glues them as they are. The free
+    C-set is built over the schema without equations, which it need not
+    satisfy.
     """
+    from .colimits import _quotient
+    from .instance import _trusted
 
-    def __init__(self, schema: SchemaPresentation):
-        if not is_acyclic(schema):
-            raise CyclicSchemaError("path enumeration requires an acyclic schema")
-        self.schema = schema
-        self.paths: list[SchemaPath] = []
-        for obj in schema.objects:
-            self._walk(SchemaPath(obj, ()), obj)
-        self._targets = {p: path_target(schema, p) for p in self.paths}
-        self._parent: dict[SchemaPath, SchemaPath] = {p: p for p in self.paths}
-        worklist: list[tuple[SchemaPath, SchemaPath]] = []
-        for lhs, rhs in schema.equations:
-            if self._union(lhs, rhs):
-                worklist.append((lhs, rhs))
-        while worklist:
-            p, q = worklist.pop()
-            tgt = self._targets[p]
-            for gen in schema.outgoing(tgt):
-                a = SchemaPath(p.source, p.components + (gen.name,))
-                b = SchemaPath(q.source, q.components + (gen.name,))
-                if self._union(a, b):
-                    worklist.append((a, b))
-            for gen in schema.generators:
-                if gen.cod == p.source:
-                    a = SchemaPath(gen.dom, (gen.name,) + p.components)
-                    b = SchemaPath(gen.dom, (gen.name,) + q.components)
-                    if self._union(a, b):
-                        worklist.append((a, b))
-        self._classes: dict[SchemaPath, list[SchemaPath]] = {}
-        for p in self.paths:
-            self._classes.setdefault(self._find(p), []).append(p)
-        for members in self._classes.values():
-            members.sort(key=self._order_key)
-        # canonical: class keyed by its minimal member
-        self._canonical = {root: members[0] for root, members in self._classes.items()}
-
-    def _walk(self, path: SchemaPath, at: str) -> None:
-        self.paths.append(path)
-        for gen in self.schema.outgoing(at):
-            self._walk(SchemaPath(path.source, path.components + (gen.name,)), gen.cod)
-
-    def _order_key(self, p: SchemaPath):
-        return (len(p.components), tuple(self.schema.gen_index(c) for c in p.components))
-
-    def _find(self, p: SchemaPath) -> SchemaPath:
-        root = p
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[p] != root:
-            self._parent[p], p = root, self._parent[p]
-        return root
-
-    def _union(self, p: SchemaPath, q: SchemaPath) -> bool:
-        rp, rq = self._find(p), self._find(q)
-        if rp == rq:
-            return False
-        self._parent[rq] = rp
-        return True
-
-    def canonical(self, p: SchemaPath) -> SchemaPath:
-        """Canonical representative (shortest, then by generator declaration)."""
-        return self._canonical[self._find(p)]
-
-    def classes_between(self, a: str, b: str) -> list[list[SchemaPath]]:
-        out = [
-            members
-            for members in self._classes.values()
-            if members[0].source == a and self._targets[members[0]] == b
-        ]
-        out.sort(key=lambda members: self._order_key(members[0]))
-        return out
-
-    def target(self, p: SchemaPath) -> str:
-        return self._targets[p]
+    if not is_acyclic(schema):
+        raise CyclicSchemaError("path enumeration requires an acyclic schema")
+    paths = _paths_from(schema, a)
+    part = {p.components: k for found in paths.values() for k, p in enumerate(found, 1)}
+    columns = {g.name: [part[p.components + (g.name,)] for p in paths[g.dom]] for g in schema.generators}
+    glue = []
+    for lhs, rhs in schema.equations:
+        outs = _paths_from(schema, path_target(schema, lhs))
+        for p in paths[lhs.source]:
+            lhs_comp, rhs_comp = (
+                {o: [part[p.components + side.components + q.components] for q in qs] for o, qs in outs.items()}
+                for side in (lhs, rhs)
+            )
+            glue.append((0, 0, lhs_comp, rhs_comp))
+    free = _trusted(without_equations(schema), {o: len(found) for o, found in paths.items()}, columns)
+    _, (leg,) = _quotient([free], glue)
+    return {o: dict(zip(found, leg[o])) for o, found in paths.items()}
 
 
 def hom_paths(schema: SchemaPresentation, a: str, b: str) -> list[list[SchemaPath]]:
     """Equivalence classes of paths a -> b modulo the schema equations.
 
-    Each class lists its members with the canonical representative first;
-    classes are ordered by representative. Raises CyclicSchemaError when
-    the schema has a directed cycle.
+    Each class lists its members with the canonical representative
+    (shortest, then by generator declaration) first; classes are ordered
+    by representative. Raises CyclicSchemaError when the schema has a
+    directed cycle and ValueError when a or b is not an object.
     """
-    return PathUniverse(schema).classes_between(a, b)
+    for obj in (a, b):
+        if obj not in schema._obj_index:
+            raise ValueError(f"{obj!r} is not an object")
+    classes: dict[int, list[SchemaPath]] = {}
+    for path, part in _representable(schema, a)[b].items():
+        classes.setdefault(part, []).append(path)
+    return list(classes.values())
 
 
 def paths_equal(schema: SchemaPresentation, p: SchemaPath, q: SchemaPath) -> bool:
     """Decide p = q modulo the schema equations (acyclic schemas only)."""
     if p.source != q.source or path_target(schema, p) != path_target(schema, q):
         raise EndpointMismatchError(f"paths {p} and {q} do not share endpoints")
-    universe = PathUniverse(schema)
-    return universe.canonical(p) == universe.canonical(q)
+    parts = _representable(schema, p.source)[path_target(schema, p)]
+    return parts[p] == parts[q]
 
 
 def without_equations(schema: SchemaPresentation) -> SchemaPresentation:

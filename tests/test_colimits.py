@@ -306,6 +306,21 @@ def test_classify_partial_is_the_bijection(d2, triangle):
         assert set(classified) == expected
 
 
+def test_classifier_calls_refuse_maps_of_other_instances(graph):
+    x = make_instance(graph, {"V": 1}, {})
+    y = make_instance(graph, {"V": 3}, {})
+    a = make_instance(graph, {"V": 1}, {})
+    t_x, t_y = partial_map_classifier(x), partial_map_classifier(y)
+    f = Transformation(a, y, {"V": [3], "E": []})
+    with pytest.raises(ValueError, match="classified instance"):
+        t_x.classify_partial(identity(a), f)
+    to_y = Transformation(x, y, {"V": [3], "E": []})
+    for tdom, tcod in [(t_y, t_y), (t_x, t_x), (t_y, t_x)]:
+        with pytest.raises(ValueError, match="T\\(f.dom\\)"):
+            classifier_map(tdom, tcod, to_y)
+    assert classifier_map(t_x, t_y, to_y).cod == t_y.instance
+
+
 def test_fpc_iso_rule_leg(graph, small_graph):
     k, n = final_pullback_complement(identity(small_graph), identity(small_graph))
     assert is_isomorphic(n.dom, small_graph) is not None

@@ -435,6 +435,14 @@ def test_cli_parse_error_exit(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["validate", str(deep)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 @pytest.mark.parametrize("command", ["validate", "compose"])
 def test_cli_directory_argument_exits_2(command, tmp_path, capsys):
     args = [command, str(tmp_path)] + ([str(tmp_path)] if command == "compose" else [])

@@ -133,6 +133,26 @@ def test_cyclic_schema_refuses_path_enumeration():
         hom_paths(loop, "X", "X")
 
 
+def test_paths_along_a_long_chain():
+    # O0 -> O1 -> ... -> O1499, plus a shortcut h: O1498 -> O1499 equal to g1498
+    objects = [f"O{i}" for i in range(1500)]
+    gens = [Generator(f"g{i}", a, b) for i, (a, b) in enumerate(zip(objects, objects[1:]))]
+    gens.append(Generator("h", objects[-2], objects[-1]))
+    plain = SchemaPath("O0", tuple(g.name for g in gens[:-1]))
+    detour = SchemaPath("O0", plain.components[:-1] + ("h",))
+    last, shortcut = (SchemaPath(objects[-2], (g.name,)) for g in gens[-2:])
+    s = SchemaPresentation(objects, gens, [(last, shortcut)])
+    assert hom_paths(s, "O0", objects[-1]) == [[plain, detour]]
+    assert paths_equal(s, plain, detour)
+    assert not paths_equal(without_equations(s), plain, detour)
+
+
+def test_hom_paths_rejects_unknown_objects(graph):
+    for a, b in [("W", "V"), ("E", "W")]:
+        with pytest.raises(ValueError, match="'W' is not an object"):
+            hom_paths(graph, a, b)
+
+
 def test_free_schema_class_count_equals_path_count():
     # with no equations, every directed path is its own class
     rng = random.Random(7)

@@ -17,10 +17,13 @@ has equations), recorded through its unit and through
 `classify_partial` of a random partial map, `diagram_colimit` with
 `coproduct` (small diagrams, and diagrams of up to 12 nodes with spans,
 parallel arrows and self-arrows),
-chains of structured cospans composed one after another, and
+chains of structured cospans composed one after another,
 `open_rewrite` (in half of these cases r is I's injection into I plus a
 random instance, with R's legs composed through it, so that the
-right-hand pushout and the result legs get new parts). The SqPO and
+right-hand pushout and the result legs get new parts), and path
+equality: `hom_paths` for every pair of objects and `paths_equal` on
+random pairs of paths with a shared source, over random acyclic
+schemas with 0-4 equations between parallel paths. The SqPO and
 chain hosts carry a disjoint random padding, so that they have parts
 outside the match's neighbourhood. Half of the DPO and SPO rewrite
 cases are drawn over a schema with a loop `next: E -> E`, so that the
@@ -579,6 +582,43 @@ def case_open(rng):
     return rec
 
 
+def case_paths(rng):
+    """`hom_paths` for every pair of objects and `paths_equal` on random pairs.
+
+    The schema is a random acyclic one with 0-4 equations, each between
+    two parallel paths of its generators. The pairs for `paths_equal`
+    share their source and differ where the source has two paths; a
+    pair with different targets is refused.
+    """
+    from oracles import random_acyclic_schema
+
+    from csetrw import EndpointMismatchError, SchemaPath, SchemaPresentation, hom_paths, paths_equal
+
+    bare = random_acyclic_schema(rng, max_objects=4, max_gens=6)
+    paths = [(SchemaPath(o), o) for o in bare.objects]
+    for path, at in paths:  # grows as it is walked
+        paths += [(SchemaPath(path.source, path.components + (g.name,)), g.cod) for g in bare.outgoing(at)]
+    parallel = [(p, q) for p, t in paths for q, u in paths if p.source == q.source and t == u and p != q]
+    equations = [rng.choice(parallel) for _ in range(rng.randint(0, 4))] if parallel else []
+    schema = SchemaPresentation(list(bare.objects), list(bare.generators), equations)
+    rec = Record(schema)
+    rec.data["equations"] = [[[p.source, *p.components] for p in eq] for eq in equations]
+    rec.data["hom_paths"] = {
+        f"{a} {b}": [[list(p.components) for p in cls] for cls in hom_paths(schema, a, b)]
+        for a in schema.objects
+        for b in schema.objects
+    }
+    equal = rec.data["paths_equal"] = []
+    for _ in range(10):
+        p, _ = rng.choice(paths)
+        q = rng.choice([q for q, _ in paths if q.source == p.source and q != p] or [p])
+        try:
+            equal.append([list(p.components), list(q.components), paths_equal(schema, p, q)])
+        except EndpointMismatchError:  # refusals are part of the output
+            equal.append([list(p.components), list(q.components), "EndpointMismatchError"])
+    return rec
+
+
 FAMILIES = {
     "homomorphisms": case_homs,
     "pushout/pullback": case_limits,
@@ -592,6 +632,7 @@ FAMILIES = {
     "colimit": case_colimit,
     "compose cospans": case_compose,
     "open_rewrite": case_open,
+    "paths": case_paths,
 }
 
 
