@@ -38,8 +38,8 @@ from itertools import accumulate, chain, compress
 from operator import attrgetter, itemgetter
 
 from .errors import ComplementViolationsError, CyclicSchemaError, NotMonicError
-from .instance import CSetInstance, _naturals, _restrict_removing, _trusted, deletion_closure
-from .schema import is_acyclic
+from .instance import CSetInstance, _evaluate, _naturals, _restrict_removing, _trusted, deletion_closure
+from .schema import SchemaPath, is_acyclic
 from .transform import Transformation, _adopt, identity, is_natural
 
 
@@ -393,9 +393,10 @@ class Classifier:
     into X. Defined at c's identity, it is a part of X(c) under its own
     id, so the unit η is the inclusion. Otherwise it is the tuple (t_g)
     of its restrictions along the generators g out of c: T(X)-parts that
-    agree on every equation out of c, walked through T's columns, which
-    exist since T(X) is built sinks first. X's parts come first, then the
-    tuples in ascending order; the column for g sends a tuple to t_g.
+    agree on every equation out of c, each side read as one composed
+    column of T, which exists since T(X) is built sinks first. X's parts
+    come first, then the tuples in ascending order; the column for g
+    sends a tuple to t_g.
     """
 
     def __init__(self, x: CSetInstance):
@@ -408,9 +409,10 @@ class Classifier:
         self._bottom: dict[str, int] = {}  # per object, ⊥: the map defined nowhere
         card: dict[str, int] = {}
         columns: dict[str, list[int]] = {}
+        built, shifted = CSetInstance(schema, card, columns), {}  # T(X) so far: partial, not `_trusted`
         for c in reversed(schema.sources_first):
             gens, n = schema.outgoing(c), x.card[c]
-            self._tuples[c] = tuples = self._agreeing(c, gens, card, columns)
+            self._tuples[c] = tuples = self._agreeing(c, gens, built, shifted)
             self._index[c] = dict(zip(tuples, range(n + 1, n + 1 + len(tuples))))
             self._bottom[c] = self._index[c][tuple(self._bottom[gen.cod] for gen in gens)]
             card[c] = n + len(tuples)
@@ -424,15 +426,17 @@ class Classifier:
         """Unpack as (instance, eta)."""
         return iter((self.instance, self.eta))
 
-    def _agreeing(self, c: str, gens: list, card: dict, columns: dict) -> list[tuple[int, ...]]:
-        """The tuples (t_g) over the generators out of c that agree on c's equations, ascending."""
+    def _agreeing(self, c: str, gens: list, built: CSetInstance, shifted: dict) -> list[tuple[int, ...]]:
+        """The tuples (t_g) over the generators out of c that agree on c's equations, ascending.
 
-        def walk(t: int, path: tuple[str, ...]) -> int:
-            for name in path:
-                t = columns[name][t - 1]
-            return t
-
+        `built` is T(X) so far. `_evaluate` composes each equation side
+        after its first generator as one column of it.
+        """
         pos = {gen.name: i for i, gen in enumerate(gens)}
+
+        def rest(i: int, path: tuple[str, ...]) -> list[int]:
+            return _evaluate(built, SchemaPath(gens[i].cod, path), shifted)
+
         # each equation out of c as ((j, q), (i, p)) with j <= i: its sides
         # start with generators j and i and go on along q and p
         sides = [
@@ -442,20 +446,21 @@ class Classifier:
         ]
         found: list[tuple[int, ...]] = [()]
         for i, gen in enumerate(gens):
-            parts = range(1, card[gen.cod] + 1)
-            checks = [(p, j, q) for (j, q), (k, p) in sides if k == i]
+            parts = range(1, built.card[gen.cod] + 1)
+            # (p, j, q) as columns: p over g's codomain, q over generator j's
+            checks = [(rest(i, p), j, rest(j, q)) for (j, q), (k, p) in sides if k == i]
             # candidates come from the first equation tying g to an earlier generator
             tie = next(((p, j, q) for p, j, q in checks if j < i), None)
             if tie:
                 checks.remove(tie)
                 by_value: dict[int, list[int]] = {}
-                for t in parts:
-                    by_value.setdefault(walk(t, tie[0]), []).append(t)
+                for t, value in enumerate(tie[0], start=1):
+                    by_value.setdefault(value, []).append(t)
             found = [
                 prefix + (t,)
                 for prefix in found
-                for t in (by_value.get(walk(prefix[tie[1]], tie[2]), ()) if tie else parts)
-                if all(walk(t, p) == walk(prefix[j] if j < i else t, q) for p, j, q in checks)
+                for t in (by_value.get(tie[2][prefix[tie[1]] - 1], ()) if tie else parts)
+                if all(p[t - 1] == q[(prefix[j] if j < i else t) - 1] for p, j, q in checks)
             ]
         return found
 

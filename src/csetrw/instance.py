@@ -15,7 +15,9 @@ swap-last, as deletion in place would.
 `restrict` and `colimits` build from valid instances by natural maps is
 valid, so they make it with `_trusted`, which neither copies nor checks;
 the tests validate those. Work that touches every part is done a column
-at a time at C level, and walks part by part happen only where a
+at a time at C level. `_evaluate` is the one path evaluator: it composes
+a path as one whole column for `validate_instance`, the typed-graph
+readback and the classifier. Walks part by part happen only where a
 violation is reported.
 """
 
@@ -163,7 +165,7 @@ def validate_instance(x: CSetInstance) -> list:
 
 
 def _evaluate(x: CSetInstance, path: SchemaPath, shifted: dict[str, list[int]]) -> list[int]:
-    """A path's value at each part of its source, one composed column."""
+    """A path's value at each part of its source, one composed column; a 0 entry stays 0."""
     if not path.components:
         return list(range(1, x.card[path.source] + 1))
     values = x.column[path.components[0]]
@@ -240,10 +242,13 @@ def restrict(x: CSetInstance, kept: dict[str, set[int]]):
 
     Parts are numbered as deleting the others in place would number
     them: highest first, each freed slot takes the current last part.
-    Raises ValueError, before anything is built, if `kept` is not closed
-    under the columns and PartOutOfRangeError if it names a part that
-    does not exist.
+    Raises ValueError, before anything is built, if `kept` names an
+    object not in the schema or is not closed under the columns, and
+    PartOutOfRangeError if it names a part that does not exist.
     """
+    for obj in kept:
+        if obj not in x.card:
+            raise ValueError(f"kept object {obj!r} is not in the schema")
     removed = {}
     for obj in x.schema.objects:
         n, keep = x.card[obj], kept.get(obj, set())
@@ -388,15 +393,13 @@ def elements(x: CSetInstance) -> TypedGraph:
     src: list[int] = []
     tgt: list[int] = []
     edge_types: list[int] = []
-    for gi, gen in enumerate(x.schema.generators):
-        for part in x.parts(gen.dom):
-            src.append(offset[gen.dom] + part)
-            tgt.append(offset[gen.cod] + x.column[gen.name][part - 1])
-            edge_types.append(gi + 1)
+    for gi, gen in enumerate(x.schema.generators, start=1):
+        n = x.card[gen.dom]
+        src += range(offset[gen.dom] + 1, offset[gen.dom] + n + 1)
+        tgt += map(offset[gen.cod].__add__, x.column[gen.name])
+        edge_types += [gi] * n
     graph = make_instance(GRAPH, {"V": total, "E": len(src)}, {"src": src, "tgt": tgt})
-    vertex_types = [
-        x.schema.obj_index(obj) + 1 for obj in x.schema.objects for _ in x.parts(obj)
-    ]
+    vertex_types = [i for i, obj in enumerate(x.schema.objects, start=1) for _ in x.parts(obj)]
     typing = Transformation(graph, schema_graph(x.schema), {"V": vertex_types, "E": edge_types})
     return TypedGraph(graph, typing, x.schema)
 
@@ -434,58 +437,40 @@ def check_discrete_opfibration(t: TypedGraph):
     Every vertex must have exactly one outgoing edge per schema generator
     applicable to its type, and the reconstructed columns must satisfy the
     path equations. Returns the reconstructed CSetInstance on success and
-    the list of violations otherwise. Equations whose evaluation runs
-    through a missing or ambiguous edge are skipped, since those defects
-    are already reported.
+    the list of violations otherwise: edge defects by generator, then
+    equation failures by equation, each by vertex. A missing or ambiguous
+    edge is a 0 in its column, which `_evaluate` carries along a path, so
+    an equation is not checked where its path runs through such a defect.
     """
     from .transform import is_natural
 
     if is_natural(t.typing):
         raise ValueError("typed graph is not well-typed over its schema")
-    schema = t.schema
-    graph = t.graph
+    schema, graph = t.schema, t.graph
     by_type: dict[str, list[int]] = {obj: [] for obj in schema.objects}
-    for v in graph.parts("V"):
-        by_type[t.vertex_type(v)].append(v)
-    local = {obj: {v: i + 1 for i, v in enumerate(vs)} for obj, vs in by_type.items()}
-    # chosen[gen][vertex] = target vertex, only where exactly one edge exists
-    chosen: dict[str, dict[int, int]] = {g.name: {} for g in schema.generators}
+    for v, obj in enumerate(t.typing.comp["V"], start=1):
+        by_type[schema.objects[obj - 1]].append(v)
+    local = [0] * (graph.card["V"] + 1)  # each vertex's part id within its type
+    for vs in by_type.values():
+        for i, v in enumerate(vs, start=1):
+            local[v] = i
+    # one column per generator in those ids: 0 until an edge is seen, -1 after two
+    columns = {gen.name: [0] * len(by_type[gen.dom]) for gen in schema.generators}
+    for v, w, gen in zip(graph.column["src"], graph.column["tgt"], t.typing.comp["E"]):
+        col, i = columns[schema.generators[gen - 1].name], local[v] - 1
+        col[i] = -1 if col[i] else local[w]
     violations: list = []
-    outgoing: dict[tuple[int, str], list[int]] = {}
-    for e in graph.parts("E"):
-        key = (graph.apply("src", e), t.edge_type(e))
-        outgoing.setdefault(key, []).append(e)
     for gen in schema.generators:
-        for v in by_type[gen.dom]:
-            edges = outgoing.get((v, gen.name), [])
-            if not edges:
-                violations.append(MissingEdge(gen.name, v))
-            elif len(edges) > 1:
-                violations.append(MultipleEdges(gen.name, v))
-            else:
-                chosen[gen.name][v] = graph.apply("tgt", edges[0])
-
-    def walk(path: SchemaPath, vertex: int) -> int | None:
-        for name in path.components:
-            nxt = chosen[name].get(vertex)
-            if nxt is None:
-                return None
-            vertex = nxt
-        return vertex
-
+        col = columns[gen.name]
+        for i in _preimages(col, {0, -1}):
+            v = by_type[gen.dom][i]
+            violations.append(MultipleEdges(gen.name, v) if col[i] else MissingEdge(gen.name, v))
+            col[i] = 0
+    card = {obj: len(vs) for obj, vs in by_type.items()}
+    x, shifted = CSetInstance(schema, card, columns), {}  # may hold 0s, so not `_trusted`
     for eq_idx, (lhs, rhs) in enumerate(schema.equations):
-        for v in by_type[lhs.source]:
-            a = walk(lhs, v)
-            b = walk(rhs, v)
-            if a is not None and b is not None and a != b:
-                violations.append(EquationFailure(eq_idx, v))
-    if violations:
-        return violations
-    card = {obj: len(by_type[obj]) for obj in schema.objects}
-    columns = {
-        gen.name: [
-            local[gen.cod][chosen[gen.name][v]] for v in by_type[gen.dom]
-        ]
-        for gen in schema.generators
-    }
-    return _trusted(schema, card, columns)
+        a, b = _evaluate(x, lhs, shifted), _evaluate(x, rhs, shifted)
+        violations.extend(
+            EquationFailure(eq_idx, v) for v, p, q in zip(by_type[lhs.source], a, b) if p and q and p != q
+        )
+    return violations or _trusted(schema, card, columns)

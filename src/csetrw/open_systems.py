@@ -132,26 +132,18 @@ def cset_to_slice(inst: CSetInstance, base: CSetInstance) -> SliceInstance:
         raise ValueError("instance does not live on the category of elements of the base")
     obj_names, gen_names = _element_names(base)
     offsets: dict[tuple[str, int], int] = {}
-    card: dict[str, int] = {}
     typing: dict[str, list[int]] = {}
-    for obj in base.schema.objects:
-        total = 0
+    for obj in base.schema.objects:  # each fibre is one run of parts, in order
         typing[obj] = []
         for p in base.parts(obj):
-            offsets[(obj, p)] = total
-            n = inst.card[obj_names[(obj, p)]]
-            typing[obj].extend([p] * n)
-            total += n
-        card[obj] = total
-    columns: dict[str, list[int]] = {}
+            offsets[(obj, p)] = len(typing[obj])
+            typing[obj] += [p] * inst.card[obj_names[(obj, p)]]
+    columns: dict[str, list[int]] = {g.name: [] for g in base.schema.generators}
     for g in base.schema.generators:
-        col = [0] * card[g.dom]
         for p in base.parts(g.dom):
-            q = base.apply(g.name, p)
-            for i, v in enumerate(inst.column[gen_names[(g.name, p)]], start=1):
-                col[offsets[(g.dom, p)] + i - 1] = offsets[(g.cod, q)] + v
-        columns[g.name] = col
-    total_inst = make_instance(base.schema, card, columns)
+            offset = offsets[(g.cod, base.apply(g.name, p))]
+            columns[g.name] += map(offset.__add__, inst.column[gen_names[(g.name, p)]])
+    total_inst = make_instance(base.schema, {obj: len(ps) for obj, ps in typing.items()}, columns)
     return SliceInstance(Transformation(total_inst, base, typing))
 
 

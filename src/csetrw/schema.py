@@ -52,15 +52,17 @@ class SchemaPresentation:
         self.generators = [g if isinstance(g, Generator) else Generator(*g) for g in self.generators]
         self.equations = [tuple(eq) for eq in self.equations]
         self._gen_by_name = {g.name: g for g in self.generators}
-        self._gen_index = {g.name: i for i, g in enumerate(self.generators)}
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
-        self._outgoing = {o: [g for g in self.generators if g.dom == o] for o in self.objects}
+        self._outgoing: dict[str, list[Generator]] = {o: [] for o in self.objects}
+        self._incoming: dict[str, list[Generator]] = {o: [] for o in self.objects}
+        for g in self.generators:  # an end that is no object is left for `validate_schema`
+            if g.dom in self._outgoing:
+                self._outgoing[g.dom].append(g)
+            if g.cod in self._incoming:
+                self._incoming[g.cod].append(g)
 
     def generator(self, name: str) -> Generator:
         return self._gen_by_name[name]
-
-    def gen_index(self, name: str) -> int:
-        return self._gen_index[name]
 
     def obj_index(self, name: str) -> int:
         return self._obj_index[name]
@@ -72,10 +74,6 @@ class SchemaPresentation:
         return self._incoming[obj]
 
     @cached_property
-    def _incoming(self) -> dict[str, list[Generator]]:
-        return {o: [g for g in self.generators if g.cod == o] for o in self.objects}
-
-    @cached_property
     def sources_first(self) -> list[str]:
         """Objects by how many objects they reach along generators, most first.
 
@@ -83,7 +81,7 @@ class SchemaPresentation:
         reach it back: on an acyclic schema, before the codomains of its
         generators; on a cyclic one, strongly connected components come
         sources first. Ties keep declaration order. Computed on first
-        use, like `incoming`, so that parsing a schema does not pay for it.
+        use, so that parsing a schema does not pay for it.
         """
         return sorted(self.objects, key=lambda o: -self._reach[o])
 

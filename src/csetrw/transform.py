@@ -18,6 +18,9 @@ class Transformation:
     comp: dict[str, list[int]]
 
     def __post_init__(self):
+        for obj in self.comp:
+            if obj not in self.dom.card:
+                raise ValueError(f"component for {obj!r}, which is not in the schema")
         self.comp = {o: list(self.comp.get(o, ())) for o in self.dom.schema.objects}
         _check_components(self)
 

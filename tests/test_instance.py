@@ -15,6 +15,8 @@ from csetrw.instance import (
     EquationFailure,
     EquationViolation,
     MissingEdge,
+    MultipleEdges,
+    TypedGraph,
     check_discrete_opfibration,
     elements,
     empty_instance,
@@ -133,6 +135,40 @@ def test_opfibration_detects_each_failure(d2):
     assert out == [MissingEdge("src", 2)]
 
 
+def test_opfibration_reports_violations_in_order(d2):
+    # two disjoint triangles; element vertices: V 1-6, E 7-12, T 13-14
+    x = make_instance(
+        d2,
+        {"V": 6, "E": 6, "T": 2},
+        {"src": [1, 1, 2, 4, 4, 5], "tgt": [3, 2, 3, 6, 5, 6], "d0": [1, 4], "d1": [2, 5], "d2": [3, 6]},
+    )
+    el = elements(x)
+    src, tgt = 1, 2  # edge types
+    edges = list(zip(el.graph.column["src"], el.graph.column["tgt"], el.typing.comp["E"]))
+    edges.remove((7, 1, src))  # E1 has no src: equation 0 is not checked at T1
+    edges.remove((12, 5, src))  # E6 has no src
+    edges.append((11, 5, tgt))  # E5 has two tgt edges
+    edges[edges.index((8, 1, src))] = (8, 2, src)  # d1 src of T1 moves; d0 src is missing
+    edges[edges.index((9, 3, tgt))] = (9, 1, tgt)  # equation 1 fails at T1
+    edges[edges.index((12, 6, tgt))] = (12, 4, tgt)  # equation 1 fails at T2
+    edges[edges.index((11, 4, src))] = (11, 5, src)  # equation 0 fails at T2
+    edges.reverse()
+    graph = make_instance(
+        el.graph.schema,
+        {"V": 14, "E": len(edges)},
+        {"src": [e[0] for e in edges], "tgt": [e[1] for e in edges]},
+    )
+    typing = Transformation(graph, el.typing.cod, {"V": el.typing.comp["V"], "E": [e[2] for e in edges]})
+    assert check_discrete_opfibration(TypedGraph(graph, typing, d2)) == [
+        MissingEdge("src", 7),
+        MissingEdge("src", 12),
+        MultipleEdges("tgt", 11),
+        EquationFailure(0, 14),
+        EquationFailure(1, 13),
+        EquationFailure(1, 14),
+    ]
+
+
 def test_validate_instance_invariant_under_renumbering(small_graph):
     rng = random.Random(3)
     perm_v = list(small_graph.parts("V"))
@@ -169,6 +205,12 @@ def test_restrict_requires_closure(small_graph):
     sub, incl = restrict(small_graph, {"V": {1, 2}, "E": {1}})
     assert sub.card == {"V": 2, "E": 1}
     assert incl.comp == {"V": [1, 2], "E": [1]}
+
+
+def test_restrict_refuses_an_unknown_object(small_graph):
+    # a lower-case typo must not read as "keep no vertex"
+    with pytest.raises(ValueError, match="kept object 'v' is not in the schema"):
+        restrict(small_graph, {"v": {1, 2, 3}})
 
 
 @pytest.fixture()

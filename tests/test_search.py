@@ -51,6 +51,12 @@ def test_transformation_refuses_components_of_the_wrong_length_or_range(small_gr
         Transformation(small_graph, small_graph, {"V": [1, 4, 3], "E": [1, 2, 3]})
 
 
+def test_transformation_refuses_a_component_of_an_unknown_object(small_graph):
+    comp = {"V": [1, 2, 3], "E": [1, 2, 3], "Bogus": [9]}
+    with pytest.raises(ValueError, match="component for 'Bogus', which is not in the schema"):
+        Transformation(small_graph, small_graph, comp)
+
+
 def test_is_natural_vacuous_from_empty(graph, small_graph):
     t = Transformation(empty_instance(graph), small_graph, {})
     assert is_natural(t) == []

@@ -23,7 +23,12 @@ random instance, with R's legs composed through it, so that the
 right-hand pushout and the result legs get new parts), and path
 equality: `hom_paths` for every pair of objects and `paths_equal` on
 random pairs of paths with a shared source, over random acyclic
-schemas with 0-4 equations between parallel paths. The SqPO and
+schemas with 0-4 equations between parallel paths, and the typed-graph
+view: `elements` of a random instance or a closed mesh piece, the
+readback `check_discrete_opfibration` of its element graph before and
+after random edges are dropped, duplicated or retargeted and of a
+random typed graph over the schema's graph, and a slice taken through
+`slice_to_cset` and back through `cset_to_slice`. The SqPO and
 chain hosts carry a disjoint random padding, so that they have parts
 outside the match's neighbourhood. Half of the DPO and SPO rewrite
 cases are drawn over a schema with a loop `next: E -> E`, so that the
@@ -619,6 +624,76 @@ def case_paths(rng):
     return rec
 
 
+def _readback(tg):
+    """`check_discrete_opfibration` of tg: the instance it reads back, or its violations in order."""
+    from csetrw import check_discrete_opfibration
+
+    out = check_discrete_opfibration(tg)
+    return [str(v) for v in out] if isinstance(out, list) else _inst(out)
+
+
+def case_typed_graphs(rng):
+    """The typed-graph view of X: `elements`, the readback and a slice over X.
+
+    X is a random instance or, in half of the cases, a closed piece of a
+    1x1 or 1x2 mesh, whose schema has equations. `check_discrete_opfibration`
+    reads back X's element graph as it is, the same graph after edges are
+    dropped, duplicated or retargeted within the type of their target (so
+    that the typing stays a homomorphism), and a random typed graph over
+    the schema's graph. A slice over X, whose total instance is the
+    coproduct of 1-3 closed pieces of X typed by their inclusions, goes
+    through `slice_to_cset` and back through `cset_to_slice`.
+    """
+    from oracles import GRAPH, random_acyclic_schema, random_typed_graph
+
+    from csetrw import (
+        SliceInstance, Transformation, TypedGraph, coproduct, cset_to_slice, elements, gen_mesh,
+        make_instance, schema_graph, slice_to_cset,
+    )
+
+    if rng.random() < 0.5:
+        x = _small(rng, random_acyclic_schema(rng), 8, max_parts=3)
+    else:
+        x, _ = _sub(rng, gen_mesh(1, rng.randint(1, 2)), 0.6)
+    schema = x.schema
+    rec = Record(schema)
+    rec.fix("x", x)
+    el = elements(x)
+    rec.data["elements"] = {"graph": _inst(el.graph), "typing": _comp(el.typing)}
+    rec.data["readback"] = _readback(el)
+    types, over = el.typing.comp, {}
+    for v, t in enumerate(types["V"], start=1):
+        over.setdefault(t, []).append(v)
+    edges, rate = [], rng.random() * 0.5  # each edge is changed with this probability
+    for edge in zip(el.graph.column["src"], el.graph.column["tgt"], types["E"]):
+        change = rng.choice(("drop", "duplicate", "retarget")) if rng.random() < rate else None
+        if change == "drop":
+            continue
+        if change == "duplicate":
+            edges.append(edge)
+        elif change == "retarget":  # within the type of its target
+            edge = (edge[0], rng.choice(over[types["V"][edge[1] - 1]]), edge[2])
+        edges.append(edge)
+    rng.shuffle(edges)
+    src, tgt, edge_types = (list(col) for col in zip(*edges)) if edges else ([], [], [])
+    graph = make_instance(GRAPH, {"V": el.graph.card["V"], "E": len(edges)}, {"src": src, "tgt": tgt})
+    typing = Transformation(graph, el.typing.cod, {"V": types["V"], "E": edge_types})
+    rec.data["mutated"] = {"graph": _inst(graph), "typing": _comp(typing)}
+    rec.data["mutated readback"] = _readback(TypedGraph(graph, typing, schema))
+    t = random_typed_graph(rng, schema_graph(schema), 8, 10)
+    rec.data["random"] = {"graph": _inst(t.dom), "typing": _comp(t)}
+    rec.data["random readback"] = _readback(TypedGraph(t.dom, t, schema))
+    pieces = [_sub(rng, x, 0.7) for _ in range(rng.randint(1, 3))]
+    total, _ = coproduct([piece for piece, _ in pieces])
+    s = SliceInstance(Transformation(total, x, {o: [v for _, incl in pieces for v in incl.comp[o]] for o in schema.objects}))
+    rec.data["slice"] = {"total": _inst(total), "typing": _comp(s.typing)}
+    migrated = slice_to_cset(s)
+    rec.data["migrated"] = _inst(migrated.instance)
+    back = cset_to_slice(migrated.instance, x)
+    rec.data["back"] = {"total": _inst(back.total), "typing": _comp(back.typing)}
+    return rec
+
+
 FAMILIES = {
     "homomorphisms": case_homs,
     "pushout/pullback": case_limits,
@@ -633,6 +708,7 @@ FAMILIES = {
     "compose cospans": case_compose,
     "open_rewrite": case_open,
     "paths": case_paths,
+    "typed graphs": case_typed_graphs,
 }
 
 
