@@ -1,4 +1,7 @@
-"""Benchmark harness: pattern search and edge flipping over grid meshes.
+"""Benchmark harness over grid meshes: `homsearch` counts the quad matches,
+`rewrite` flips at every monic match and counts the outcomes, and `step`
+flips once, at the cell whose top-left corner is the vertex nearest the
+centre, and counts the result's parts.
 
 Counts are reproducible and checked by tests; wall times are informative
 only and depend on the machine.
@@ -13,10 +16,10 @@ import time
 from typing import IO
 
 from .mesh import flip_rule, gen_mesh, quad_pattern
-from .rewrite import find_and_rewrite
+from .rewrite import DPO, find_and_rewrite, rewrite
 from .search import SearchOptions, homomorphisms
 
-TASKS = ("homsearch", "rewrite")
+TASKS = ("homsearch", "rewrite", "step")
 FIELDS = ("size", "rows", "cols", "count", "seconds")
 
 
@@ -28,15 +31,19 @@ FIELDS = ("size", "rows", "cols", "count", "seconds")
 SECONDS_PER_SIZE = 0.1
 
 
-def _workload(task: str, rows: int, cols: int):
+def _workload(task: str, rows: int, cols: int, kind: str):
     if task not in TASKS:
         raise ValueError(f"unknown benchmark task {task!r}")
     mesh = gen_mesh(rows, cols)
     if task == "homsearch":
         pattern = quad_pattern()
         return lambda: len(homomorphisms(pattern, mesh))
-    rule = flip_rule()
-    return lambda: len(find_and_rewrite(rule, mesh, SearchOptions(monic=True)))
+    rule = flip_rule(kind)
+    if task == "rewrite":
+        return lambda: len(find_and_rewrite(rule, mesh, SearchOptions(monic=True)))
+    corner = (rows // 2) * (cols + 1) + cols // 2 + 1  # vertex (rows // 2, cols // 2)
+    match = homomorphisms(rule.lhs, mesh, SearchOptions(monic=True, initial={"V": {1: corner}}, limit=1))[0]
+    return lambda: sum(rewrite(rule, match).result.card.values())
 
 
 def _timed(call) -> tuple[int, float]:
@@ -45,8 +52,8 @@ def _timed(call) -> tuple[int, float]:
     return result, time.perf_counter() - start
 
 
-def run_bench(task: str, sizes: list[tuple[int, int]]) -> list[dict]:
-    calls = [_workload(task, rows, cols) for rows, cols in sizes]
+def run_bench(task: str, sizes: list[tuple[int, int]], kind: str = DPO) -> list[dict]:
+    calls = [_workload(task, rows, cols, kind) for rows, cols in sizes]
     counts, times, schedule = [], [], []
     for i, call in enumerate(calls):
         count, first = _timed(call)
@@ -66,8 +73,7 @@ def run_bench(task: str, sizes: list[tuple[int, int]]) -> list[dict]:
 def write_csv(rows: list[dict], fh: IO[str]) -> None:
     writer = csv.DictWriter(fh, fieldnames=FIELDS)
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 def parse_sizes(spec: str) -> list[tuple[int, int]]:

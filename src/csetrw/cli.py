@@ -38,7 +38,7 @@ from .jsonio import (
 )
 from .mesh import gen_mesh
 from .open_systems import compose_cospans, diagram_colimit
-from .rewrite import KINDS, find_and_rewrite, rewrite
+from .rewrite import DPO, KINDS, find_and_rewrite, rewrite
 from .search import SearchOptions, homomorphisms
 
 EXIT_OK = 0
@@ -176,7 +176,7 @@ def cmd_gen_mesh(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = bench_mod.run_bench(args.task, bench_mod.parse_sizes(args.sizes))
+    rows = bench_mod.run_bench(args.task, bench_mod.parse_sizes(args.sizes), args.kind)
     if args.output:
         with open(args.output, "w", newline="") as fh:
             bench_mod.write_csv(rows, fh)
@@ -237,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the mesh benchmarks, emitting CSV")
     p.add_argument("--task", choices=bench_mod.TASKS, default="homsearch")
+    p.add_argument("--kind", choices=KINDS, default=DPO, help="flip rule semantics for rewrite and step")
     p.add_argument("--sizes", default="", help='comma separated, e.g. "2x2,2x3"')
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bench)

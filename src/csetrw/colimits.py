@@ -12,13 +12,14 @@ slots that stopped being roots, and columns pushed down per summand with
 the first summand is merged, its parts keep their ids and its columns are
 copied, so a pushout along a monic f keeps C's numbering, appends B's
 unglued parts and costs C one list copy per column. Each output list is
-built once and kept as it is.
+built once and kept as it is. `_append_program(f)` compiles that pushout
+for a monic f once, so that `_pushout` then builds it without a quotient.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages. `pushout`, `pullback` and `final_pullback_complement` check
 that their input maps are natural, so columns descend and every output
 is built with `_trusted`, unchecked. A rewrite step checks its match
-once and calls `_pushout` and `_final_pullback_complement`, which check
-nothing, on the rule legs `Rule` checked and the maps the step built.
+once and calls `_final_pullback_complement` and `_pushout`, with the
+rule's compiled program when r is monic; they check nothing.
 
 The partial map classifier T(X) is built sinks first, with no search.
 χ, the map classifying a partial map into X, is one more pass in that
@@ -183,10 +184,40 @@ def pushout(f: Transformation, g: Transformation) -> PushoutResult:
     return _pushout(f, g)
 
 
-def _pushout(f: Transformation, g: Transformation) -> PushoutResult:
-    """`pushout` of natural maps with a shared domain, unchecked."""
-    apex, (comp_c, comp_b) = _quotient([g.cod, f.cod], [(1, 0, f.comp, g.comp)])
-    return PushoutResult(apex, _adopt(f.cod, apex, comp_b), _adopt(g.cod, apex, comp_c), f, g)
+def _pushout(f: Transformation, g: Transformation, program: tuple[dict, dict] | None = None) -> PushoutResult:
+    """`pushout` of natural maps with a shared domain, unchecked; no quotient given `_append_program(f)`."""
+    if program is None:
+        apex, (comp_c, comp_b) = _quotient([g.cod, f.cod], [(1, 0, f.comp, g.comp)])
+        return PushoutResult(apex, _adopt(f.cod, apex, comp_b), _adopt(g.cod, apex, comp_c), f, g)
+    (where, entries), c = program, g.cod
+    card, tables, leg_c = {}, {}, {}
+    for obj, at in where.items():
+        n, card[obj] = c.card[obj], c.card[obj] + len(at) - len(g.comp[obj])
+        naturals = _naturals(card[obj])
+        tables[obj], leg_c[obj] = g.comp[obj] + naturals[n + 1 : card[obj] + 1], naturals[1 : n + 1]
+    columns = {
+        gen.name: c.column[gen.name] + list(map(tables[gen.cod].__getitem__, at)) for gen, at in entries.items()
+    }
+    apex = _trusted(c.schema, card, columns)
+    leg_b = {obj: list(map(tables[obj].__getitem__, at)) for obj, at in where.items()}
+    return PushoutResult(apex, _adopt(f.cod, apex, leg_b), _adopt(c, apex, leg_c), f, g)
+
+
+def _append_program(f: Transformation) -> tuple[dict, dict] | None:
+    """`_pushout(f, -)` compiled once for a monic f, else None: the apex is C, then B∖f(A) in order.
+
+    A table per object holds g's image of each A-part, then the appended
+    parts; the program places each B-part and each appended entry in one.
+    """
+    if not f.is_monic():
+        return None
+    b, where, created = f.cod, {}, {}
+    for obj, col in f.comp.items():
+        order = col + sorted(set(b.parts(obj)).difference(col))
+        where[obj] = sorted(range(len(order)), key=order.__getitem__)  # B-part p at where[obj][p - 1]
+        created[obj] = order[len(col) :]
+    gens = b.schema.generators
+    return where, {gen: [where[gen.cod][b.column[gen.name][p - 1] - 1] for p in created[gen.dom]] for gen in gens}
 
 
 def coproduct(instances: list[CSetInstance]) -> tuple[CSetInstance, list[Transformation]]:
@@ -316,8 +347,8 @@ def _complement(f: Transformation, g: Transformation) -> tuple[list, tuple | Non
     """The violated conditions for A -f-> B -g-> C and C's restriction.
 
     Identification is checked by a walk of B. The parts of C that B
-    deletes then go to `_restrict_removing`, whose one scan of each
-    column finds the dangling entries; the restriction is built only
+    deletes then go to `_restrict_removing`, whose `_preimages` scans of
+    each column find the dangling entries; the restriction is built only
     when there are none.
     """
     if f.cod != g.dom:

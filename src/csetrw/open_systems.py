@@ -69,29 +69,21 @@ def slice_schema(x: CSetInstance) -> SchemaPresentation:
     """
     obj_names, gen_names = _element_names(x)
     objects = [obj_names[(obj, p)] for obj in x.schema.objects for p in x.parts(obj)]
-    generators = []
-    for g in x.schema.generators:
-        for p in x.parts(g.dom):
-            generators.append(
-                Generator(
-                    gen_names[(g.name, p)],
-                    obj_names[(g.dom, p)],
-                    obj_names[(g.cod, x.apply(g.name, p))],
-                )
-            )
+    generators = [
+        Generator(gen_names[(g.name, p)], obj_names[(g.dom, p)], obj_names[(g.cod, x.apply(g.name, p))])
+        for g in x.schema.generators
+        for p in x.parts(g.dom)
+    ]
 
     def instantiate(path: SchemaPath, part: int) -> SchemaPath:
-        comps = []
-        cur = part
+        comps, cur = [], part
         for name in path.components:
             comps.append(gen_names[(name, cur)])
             cur = x.apply(name, cur)
         return SchemaPath(obj_names[(path.source, part)], tuple(comps))
 
-    equations = []
-    for lhs, rhs in x.schema.equations:
-        for part in x.parts(lhs.source):
-            equations.append((instantiate(lhs, part), instantiate(rhs, part)))
+    sides = ((lhs, rhs, p) for lhs, rhs in x.schema.equations for p in x.parts(lhs.source))
+    equations = [(instantiate(lhs, p), instantiate(rhs, p)) for lhs, rhs, p in sides]
     return SchemaPresentation(objects, generators, equations)
 
 

@@ -5,15 +5,18 @@ names and refuses otherwise; SPO cascades deletions to every part with
 a path of columns into a deleted part; SqPO copies context when l
 identifies parts, working only on the parts with a path into the match.
 Both find those parts with `instance.deletion_closure`, so no step
-builds a preimage index on an acyclic schema. `Rule` checks its legs and
-a step its match, once: what the step builds from them is not checked.
+builds a preimage index on an acyclic schema. DPO and SqPO push R out
+along a monic r by the rule's `rhs_program`, compiled once: K copied,
+R∖r(I) appended, no quotient. `Rule` checks its legs and a step its
+match, once: what the step builds from them is not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .colimits import _final_pullback_complement, _into_restriction, _pushout, pushout_complement
+from .colimits import _append_program, _final_pullback_complement, _into_restriction, _pushout, pushout_complement
 from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
 from .instance import CSetInstance, _restrict_removing, deletion_closure
 from .search import SearchOptions, homomorphisms
@@ -38,6 +41,11 @@ class Rule:
             raise ValueError("rule legs must share their interface instance")
         if is_natural(self.l) or is_natural(self.r):
             raise ValueError("rule legs must be natural transformations")
+
+    @cached_property
+    def rhs_program(self) -> tuple[dict, dict] | None:
+        """The second square of DPO and SqPO compiled once: `_append_program(r)`, None unless r is monic."""
+        return _append_program(self.r)
 
     @property
     def lhs(self) -> CSetInstance:
@@ -72,9 +80,10 @@ def _push_out_rhs(
 ) -> RewriteOutcome:
     """The second square of DPO and SqPO: push R out along I -> K.
 
-    K's parts keep their ids when r is monic; the new parts follow them.
+    K's parts keep their ids when r is monic, and the parts R creates
+    follow in R's order, as the rule's `rhs_program` builds them.
     """
-    po = _pushout(rule.r, i_to_k)
+    po = _pushout(rule.r, i_to_k, rule.rhs_program)
     return RewriteOutcome(
         result=po.apex,
         k=i_to_k.cod,

@@ -17,6 +17,7 @@ from csetrw.instance import (
     MissingEdge,
     MultipleEdges,
     TypedGraph,
+    _preimages,
     check_discrete_opfibration,
     elements,
     empty_instance,
@@ -29,7 +30,7 @@ from csetrw.instance import (
 from csetrw.mesh import gen_mesh
 from csetrw.schema import Generator, SchemaPath, SchemaPresentation
 from csetrw.search import is_isomorphic
-from csetrw.transform import Transformation
+from csetrw.transform import Transformation, _adopt
 
 from oracles import random_acyclic_schema, random_closed_parts, random_instance
 
@@ -167,6 +168,40 @@ def test_opfibration_reports_violations_in_order(d2):
         EquationFailure(1, 13),
         EquationFailure(1, 14),
     ]
+
+
+def test_opfibration_refuses_a_non_natural_typing(graph):
+    # vertex 1 of the element graph is a V-part; typed as an E-part, the
+    # src and tgt edges into it end at a vertex of the wrong type
+    tg = elements(make_instance(graph, {"V": 2, "E": 1}, {"src": [1], "tgt": [2]}))
+    vertex_types = [2] + tg.typing.comp["V"][1:]
+    typing = Transformation(tg.graph, tg.typing.cod, {"V": vertex_types, "E": tg.typing.comp["E"]})
+    with pytest.raises(ValueError, match="not well-typed"):
+        check_discrete_opfibration(TypedGraph(tg.graph, typing, graph))
+
+
+def test_opfibration_refuses_an_out_of_range_typing(graph):
+    tg = elements(make_instance(graph, {"V": 2, "E": 1}, {"src": [1], "tgt": [2]}))
+    typing = _adopt(tg.graph, tg.typing.cod, {"V": [3] + tg.typing.comp["V"][1:], "E": tg.typing.comp["E"]})
+    with pytest.raises(ValueError, match="sends 1 outside 1..2"):
+        check_discrete_opfibration(TypedGraph(tg.graph, typing, graph))
+
+
+def test_preimages_agrees_with_a_scan_randomized():
+    # target sets on both sides of the cut, with values absent from the
+    # column, repeated entries and hits at the first and last positions
+    rng = random.Random(71)
+    cut = instance_module._FEW_TARGETS
+    ends = 0
+    for size in range(2 * cut + 1):
+        for _ in range(40):
+            col = [rng.randint(1, 9) for _ in range(rng.randint(0, 30))]
+            targets = set(rng.sample(range(12), size))
+            if col and targets and rng.random() < 0.5:
+                col[0], col[-1] = min(targets), max(targets)
+                ends += 1
+            assert _preimages(col, targets) == [i for i, v in enumerate(col) if v in targets]
+    assert ends > 100
 
 
 def test_validate_instance_invariant_under_renumbering(small_graph):

@@ -429,6 +429,15 @@ def test_cli_bench_counts(tmp_path):
     assert counts == [2, 4]
 
 
+@pytest.mark.parametrize("kind", ["dpo", "spo", "sqpo"])
+def test_cli_bench_step_counts(kind, capsys):
+    # one flip at a pinned interior cell: the result has the mesh's parts
+    assert main(["bench", "--task", "step", "--kind", kind, "--sizes", "1x1,2x2,3x3,2x5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "size,rows,cols,count,seconds"
+    assert [int(r.split(",")[3]) for r in rows[1:]] == [11, 33, 67, 75]
+
+
 def test_cli_parse_error_exit(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -13,6 +13,7 @@ from csetrw import instance as instance_module
 from csetrw.colimits import (
     Classifier,
     _into_restriction,
+    _pushout,
     check_pushout_complement,
     coproduct,
     final_pullback_complement,
@@ -32,6 +33,7 @@ from csetrw.instance import (
     elements,
     empty_instance,
     make_instance,
+    restrict,
     validate_instance,
 )
 from csetrw.instance import MissingEdge, MultipleEdges
@@ -547,6 +549,55 @@ def test_sqpo_equals_dpo_for_monic_l_randomized():
         seen[kind] += 1
         k_to_g = dpo.maps["k_to_g"].comp.values()
         seen["parts moved"] += any(col != sorted(col) for col in k_to_g)
+
+
+def _pushout_record(po):
+    return json.dumps([po.apex.card, po.apex.column, po.leg_b.comp, po.leg_c.comp])
+
+
+def test_compiled_rhs_equals_the_pushout_randomized():
+    # r the identity, a coproduct injection I -> I + X (created parts point
+    # at created parts) or the inclusion of a closed part of R, numbered
+    # swap-last (created parts point at I and at created parts); I -> K any
+    # homomorphism, so it may merge parts
+    rng = random.Random(67)
+    seen = dict.fromkeys(["identity", "injection", "inclusion", "cyclic", "at I", "at created"], 0)
+    while min(seen.values()) < 15:
+        cyclic = rng.random() < 0.5
+        schema = random_cyclic_schema(rng) if cyclic else random_acyclic_schema(rng)
+        kind = rng.choice(["identity", "injection", "inclusion"])
+        if kind == "inclusion":
+            rhs = random_instance(rng, schema, max_parts=3)
+            interface, r = restrict(rhs, random_closed_parts(rng, rhs, keep_probability=0.5))
+        else:
+            interface = random_instance(rng, schema, max_parts=2)
+            r = identity(interface)
+            if kind == "injection":
+                _, (r, _) = coproduct([interface, random_instance(rng, schema, max_parts=2)])
+        homs = brute_homs(interface, random_instance(rng, schema, max_parts=3))
+        if not homs:
+            continue
+        rule = Rule(identity(interface), r)
+        assert rule.rhs_program is not None and rule.rhs_program is rule.rhs_program
+        i_to_k = rng.choice(homs)
+        assert _pushout_record(_pushout(r, i_to_k, rule.rhs_program)) == _pushout_record(_pushout(r, i_to_k))
+        seen[kind] += 1
+        seen["cyclic"] += cyclic
+        image = {o: set(r.comp[o]) for o in schema.objects}
+        for gen in schema.generators:
+            created = set(r.cod.parts(gen.dom)) - image[gen.dom]
+            targets = {r.cod.column[gen.name][p - 1] in image[gen.cod] for p in created}
+            seen["at I"] += True in targets
+            seen["at created"] += False in targets
+
+
+def test_rule_compiles_no_program_for_a_non_monic_r(graph):
+    single = make_instance(graph, {"V": 1}, {})
+    double = make_instance(graph, {"V": 2}, {})
+    rule = Rule(identity(double), Transformation(double, single, {"V": [1, 1]}))
+    assert rule.rhs_program is None
+    out = rewrite(rule, identity(double))
+    assert out.result.card == {"V": 1, "E": 0}
 
 
 def test_find_and_rewrite_counts(two_triangles):
