@@ -1,10 +1,9 @@
-"""Benchmark harness over grid meshes: `homsearch` counts the quad matches,
-`rewrite` flips at every monic match and counts the outcomes, and `step`
-flips once, at the cell whose top-left corner is the vertex nearest the
-centre, and counts the result's parts.
+"""Benchmark harness: pattern search and edge flipping over grid meshes.
 
-Counts are reproducible and checked by tests; wall times are informative
-only and depend on the machine.
+`step` flips once, at the cell whose top-left corner is the vertex
+nearest the centre, and counts the result's parts. Counts are
+reproducible and checked by tests; wall times are informative only and
+depend on the machine.
 """
 
 from __future__ import annotations
@@ -73,7 +72,8 @@ def run_bench(task: str, sizes: list[tuple[int, int]], kind: str = DPO) -> list[
 def write_csv(rows: list[dict], fh: IO[str]) -> None:
     writer = csv.DictWriter(fh, fieldnames=FIELDS)
     writer.writeheader()
-    writer.writerows(rows)
+    for row in rows:
+        writer.writerow(row)
 
 
 def parse_sizes(spec: str) -> list[tuple[int, int]]:

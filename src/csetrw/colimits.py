@@ -11,9 +11,9 @@ slots that stopped being roots, and columns pushed down per summand with
 `map` and stripped of merged slots by one `compress`. Where no slot of
 the first summand is merged, its parts keep their ids and its columns are
 copied, so a pushout along a monic f keeps C's numbering, appends B's
-unglued parts and costs C one list copy per column. Each output list is
-built once and kept as it is. `_append_program(f)` compiles that pushout
-for a monic f once, so that `_pushout` then builds it without a quotient.
+unglued parts and costs C one list copy per column; `_pushout` builds it
+with no quotient from `_append_program(f)`. Each output list is built
+once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages. `pushout`, `pullback` and `final_pullback_complement` check
 that their input maps are natural, so columns descend and every output
@@ -190,24 +190,22 @@ def _pushout(f: Transformation, g: Transformation, program: tuple[dict, dict] | 
         apex, (comp_c, comp_b) = _quotient([g.cod, f.cod], [(1, 0, f.comp, g.comp)])
         return PushoutResult(apex, _adopt(f.cod, apex, comp_b), _adopt(g.cod, apex, comp_c), f, g)
     (where, entries), c = program, g.cod
-    card, tables, leg_c = {}, {}, {}
+    card, ids, leg_c = {}, {}, {}
     for obj, at in where.items():
         n, card[obj] = c.card[obj], c.card[obj] + len(at) - len(g.comp[obj])
         naturals = _naturals(card[obj])
-        tables[obj], leg_c[obj] = g.comp[obj] + naturals[n + 1 : card[obj] + 1], naturals[1 : n + 1]
-    columns = {
-        gen.name: c.column[gen.name] + list(map(tables[gen.cod].__getitem__, at)) for gen, at in entries.items()
-    }
+        ids[obj], leg_c[obj] = g.comp[obj] + naturals[n + 1 : card[obj] + 1], naturals[1 : n + 1]
+    columns = {gen.name: c.column[gen.name] + list(map(ids[gen.cod].__getitem__, at)) for gen, at in entries.items()}
     apex = _trusted(c.schema, card, columns)
-    leg_b = {obj: list(map(tables[obj].__getitem__, at)) for obj, at in where.items()}
+    leg_b = {obj: list(map(ids[obj].__getitem__, at)) for obj, at in where.items()}
     return PushoutResult(apex, _adopt(f.cod, apex, leg_b), _adopt(c, apex, leg_c), f, g)
 
 
 def _append_program(f: Transformation) -> tuple[dict, dict] | None:
     """`_pushout(f, -)` compiled once for a monic f, else None: the apex is C, then B∖f(A) in order.
 
-    A table per object holds g's image of each A-part, then the appended
-    parts; the program places each B-part and each appended entry in one.
+    A table of ids per object holds g's image of each A-part, then the
+    appended parts; the program indexes it per B-part and appended entry.
     """
     if not f.is_monic():
         return None

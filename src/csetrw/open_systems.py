@@ -69,21 +69,29 @@ def slice_schema(x: CSetInstance) -> SchemaPresentation:
     """
     obj_names, gen_names = _element_names(x)
     objects = [obj_names[(obj, p)] for obj in x.schema.objects for p in x.parts(obj)]
-    generators = [
-        Generator(gen_names[(g.name, p)], obj_names[(g.dom, p)], obj_names[(g.cod, x.apply(g.name, p))])
-        for g in x.schema.generators
-        for p in x.parts(g.dom)
-    ]
+    generators = []
+    for g in x.schema.generators:
+        for p in x.parts(g.dom):
+            generators.append(
+                Generator(
+                    gen_names[(g.name, p)],
+                    obj_names[(g.dom, p)],
+                    obj_names[(g.cod, x.apply(g.name, p))],
+                )
+            )
 
     def instantiate(path: SchemaPath, part: int) -> SchemaPath:
-        comps, cur = [], part
+        comps = []
+        cur = part
         for name in path.components:
             comps.append(gen_names[(name, cur)])
             cur = x.apply(name, cur)
         return SchemaPath(obj_names[(path.source, part)], tuple(comps))
 
-    sides = ((lhs, rhs, p) for lhs, rhs in x.schema.equations for p in x.parts(lhs.source))
-    equations = [(instantiate(lhs, p), instantiate(rhs, p)) for lhs, rhs, p in sides]
+    equations = []
+    for lhs, rhs in x.schema.equations:
+        for part in x.parts(lhs.source):
+            equations.append((instantiate(lhs, part), instantiate(rhs, part)))
     return SchemaPresentation(objects, generators, equations)
 
 

@@ -6,9 +6,9 @@ a path of columns into a deleted part; SqPO copies context when l
 identifies parts, working only on the parts with a path into the match.
 Both find those parts with `instance.deletion_closure`, so no step
 builds a preimage index on an acyclic schema. DPO and SqPO push R out
-along a monic r by the rule's `rhs_program`, compiled once: K copied,
-R∖r(I) appended, no quotient. `Rule` checks its legs and a step its
-match, once: what the step builds from them is not checked.
+along a monic r by the rule's compiled `rhs_program`, with no quotient.
+`Rule` checks its legs and a step its match, once: what the step builds
+from them is not checked.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ def _push_out_rhs(
 ) -> RewriteOutcome:
     """The second square of DPO and SqPO: push R out along I -> K.
 
-    K's parts keep their ids when r is monic, and the parts R creates
-    follow in R's order, as the rule's `rhs_program` builds them.
+    K's parts keep their ids when r is monic; the rule's `rhs_program` appends the new parts.
     """
     po = _pushout(rule.r, i_to_k, rule.rhs_program)
     return RewriteOutcome(
