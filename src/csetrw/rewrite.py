@@ -5,8 +5,8 @@ names and refuses otherwise; SPO cascades deletions to every part with
 a path of columns into a deleted part; SqPO copies context when l
 identifies parts, working only on the parts with a path into the match.
 Both find those parts with `instance.deletion_closure`, so no step
-builds a preimage index on an acyclic schema. DPO and SqPO push R out
-along a monic r by the rule's compiled `rhs_program`, with no quotient.
+builds a preimage index on an acyclic schema. A monic r (in SPO, `j_to_r`)
+pushes R out by a compiled program (DPO, SqPO: `rhs_program`), no quotient.
 `Rule` checks its legs and a step its match, once: what the step builds
 from them is not checked.
 """
@@ -145,7 +145,7 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
     _, j_to_i, _ = _restrict_removing(rule.interface, dead_i)
     j_to_r = _into_restriction(j_to_i.compose(rule.r), r_kept, r_moved)
     j_to_k = _into_restriction(j_to_i.compose(l_match), k_to_g, moved)
-    po = _pushout(j_to_r, j_to_k)
+    po = _pushout(j_to_r, j_to_k, _append_program(j_to_r))  # no quotient when j_to_r is monic
     return RewriteOutcome(
         result=po.apex,
         k=k,

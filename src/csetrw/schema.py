@@ -10,7 +10,8 @@ path equality and the operations that need it are restricted to those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import CyclicSchemaError, EndpointMismatchError
 
@@ -91,17 +92,38 @@ class SchemaPresentation:
 
     @cached_property
     def _reach(self) -> dict[str, int]:
-        """How many objects each object reaches along generators, itself included."""
-        count = {}
+        """How many objects each object reaches along generators, itself included.
+
+        Tarjan's algorithm closes strongly connected components sinks first, so each one's reach,
+        an int bitset, is its own objects and the reach of its generators' codomains.
+        """
+        index, low, stack, bits, work = {}, {}, [], {}, []
+
+        def visit(obj: str) -> None:
+            index[obj] = low[obj] = len(index)
+            work.append((obj, iter(self._outgoing.get(obj, ())), len(stack)))
+            stack.append(obj)
+
         for obj in self.objects:
-            seen, todo = {obj}, [obj]
-            for cur in todo:
-                for gen in self._outgoing.get(cur, ()):
-                    if gen.cod not in seen:
-                        seen.add(gen.cod)
-                        todo.append(gen.cod)
-            count[obj] = len(seen)
-        return count
+            if obj not in index:
+                visit(obj)
+            while work:
+                obj, gens, at = work[-1]
+                for gen in gens:
+                    if gen.cod not in index:
+                        visit(gen.cod)
+                        break
+                    if gen.cod not in bits:  # still on the stack, so in obj's component
+                        low[obj] = min(low[obj], index[gen.cod])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[obj])
+                    if low[obj] == index[obj]:  # obj roots a component, on the stack from obj up
+                        members, stack[at:] = stack[at:], []
+                        out = (bits.get(gen.cod, 0) for m in members for gen in self._outgoing.get(m, ()))
+                        bits.update(dict.fromkeys(members, reduce(or_, out, sum(1 << index[m] for m in members))))
+        return {obj: bits[obj].bit_count() for obj in self.objects}
 
     def __eq__(self, other):
         if self is other:

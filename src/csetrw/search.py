@@ -14,23 +14,27 @@ preimage index are branched on, each of the latter on the host's
 preimages of its assigned target. Candidates come in ascending order and
 results are sorted, so the result list does not depend on the order;
 `limit` keeps the first matches found in it, then sorts them. With the
-order fixed, so is what each step forces and checks: a plan of
-straight-line steps is compiled once per pattern and pin-key tuple (the
-pinned (object, part) pairs, not their values) and kept on the pattern.
-It names host columns and indices by generator; each search binds them
-and runs the plan on an explicit stack, so pattern size is not bounded
-by the interpreter's recursion limit.
+order fixed, so is what each step forces and checks: a plan is compiled
+once per pattern and pin-key tuple (the pinned (object, part) pairs, not
+their values) and kept on the pattern. Its steps are cut into chunks,
+each generated once per shape as a Python loop nest (GrGen's search
+plans written out as code) whose source holds only integers and fixed
+names; they run nested on an explicit stack, not by recursion.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice
 
 from .errors import PartOutOfRangeError
 from .instance import CSetInstance
 from .transform import Transformation, _adopt
+
+
+_CHUNK = 8  # steps per generated function: its nested loops stay under CPython's 20 static blocks
 
 
 @dataclass
@@ -67,36 +71,45 @@ def _branch_order(x: CSetInstance) -> Iterator[tuple[str, int]]:
 
 
 def _compile(x: CSetInstance, keys: tuple[tuple[str, int], ...]) -> tuple:
-    """The pattern half of a search pinned at `keys`, naming no host: (slots, spans, steps).
+    """The pattern half of a search pinned at `keys`, naming no host: (bounds, chunks).
 
-    A slot per pattern part, each object's in a run (`spans`: object,
-    start, length), then one for the value tried. A step is its
-    candidates, (slot of the first assigned target, generator) for its
-    host preimages or (None, object) for all host parts; its writes
-    (source slot, generator, slot, object) of its part, from the value
-    tried (generator None), and of the parts that forces; and its checks
-    (source slot, generator, slot) on assigned parts its candidates do
-    not imply. Pins come first: a pin's step draws from all host parts,
-    and a part an earlier pin forced only has the value tried checked
-    against it (generator None).
+    A slot per pattern part, each object's in a run between `bounds`. A
+    step assigns a part: it tries the host preimages of an assigned
+    target (kind 1), all host parts (2) or a pin's value (3), writes the
+    value and the parts that forces, and checks the assigned parts its
+    candidates do not imply. A part an earlier pin forced only has the
+    value checked. Each `_CHUNK` steps make a chunk: its shape (`_function`),
+    the slot of each local, what it reads of the host ((kind, name), kind
+    0 a column) and the objects whose used marks it reads.
     """
     schema, column, objects = x.schema, x.column, x.schema.objects
-    offset = dict(zip(objects, accumulate((x.card[obj] for obj in objects), initial=0)))
-    known = [False] * (sum(x.card[obj] for obj in objects) + 1)  # assigned by a pin or an earlier step
+    bounds = list(accumulate((x.card[obj] for obj in objects), initial=0))
+    offset = dict(zip(objects, bounds))
+    known = [False] * bounds[-1]  # assigned by a pin or an earlier step
+    chunks: list[tuple] = []
+    local, hosts, marks, shape = {}, {}, {}, []  # the open chunk's: slot -> local (by first use), ...
 
-    def step(obj: str, part: int, pinned: bool = False) -> tuple:
-        """The step that assigns a part; marks what it assigns."""
+    def close(*layout: int) -> None:  # a shape starts: host and mark counts, whole-plan flag, layout
+        chunks.append(((len(hosts), len(marks), *layout, *shape), tuple(local), tuple(hosts), tuple(marks)))
+
+    pinned = ((obj, part, (3, pin)) for pin, (obj, part) in enumerate(keys))
+    branched = ((obj, part, None) for obj, part in _branch_order(x) if not known[offset[obj] + part - 1])
+    for steps, (obj, part, pin) in enumerate(chain(pinned, branched)):
         slot = offset[obj] + part - 1
-        if known[slot]:
-            return None, obj, [], [(-1, None, slot)]
-        narrowed, candidates = None, (None, obj)
-        for g in () if pinned else schema.outgoing(obj):
+        if steps and steps % _CHUNK == 0:
+            close(0)
+            local, hosts, marks, shape = {}, {}, {}, []
+        if known[slot]:  # a step is (candidates, narrowing local or -1, op count, ops)
+            shape += (hosts.setdefault(pin, len(hosts)), -1, 1, 0, -1, -1, local.setdefault(slot, len(local)))
+            continue
+        target, candidates, narrowed = -1, pin or (2, obj), None
+        for g in () if pin else schema.outgoing(obj):
             d = offset[g.cod] + column[g.name][part - 1] - 1
             if known[d]:
-                narrowed, candidates = g.name, (d, g.name)
+                target, candidates, narrowed = local.setdefault(d, len(local)), (1, g.name), g.name
                 break
-        known[slot] = True
-        writes, checks = [(-1, None, slot, obj)], []
+        known[slot], local[slot] = True, len(local)
+        ops = [1, -1, -1, marks.setdefault(obj, len(marks))]  # an op is (write, source local, column, mark or local)
         queue = [(obj, part, slot)]
         for src_obj, src, s in queue:
             for g in schema.outgoing(src_obj):
@@ -104,88 +117,85 @@ def _compile(x: CSetInstance, keys: tuple[tuple[str, int], ...]) -> tuple:
                     continue
                 q = column[g.name][src - 1]
                 d = offset[g.cod] + q - 1
+                col = hosts.setdefault((0, g.name), len(hosts))
                 if known[d]:
-                    checks.append((s, g.name, d))
+                    ops += (0, local[s], col, local.setdefault(d, len(local)))
                 else:
-                    known[d] = True
-                    writes.append((s, g.name, d, g.cod))
+                    ops += (1, local[s], col, marks.setdefault(g.cod, len(marks)))
+                    known[d], local[d] = True, len(local)
                     queue.append((g.cod, q, d))
-        return *candidates, writes, checks
+        shape += (hosts.setdefault(candidates, len(hosts)), target, len(ops) // 4, *ops)
+    if chunks:  # the last of several chunks stores its slots too
+        close(0)
+    else:  # a whole plan in one chunk yields its locals, by object
+        close(1, len(objects), *chain.from_iterable(
+            (end - start, *map(local.get, range(start, end))) for start, end in zip(bounds, bounds[1:])))
+    return bounds, chunks
 
-    steps = [step(obj, part, True) for obj, part in keys]
-    steps += [step(obj, part) for obj, part in _branch_order(x) if not known[offset[obj] + part - 1]]
-    return len(known), [(obj, offset[obj], x.card[obj]) for obj in objects], steps
 
+@lru_cache(maxsize=1024)
+def _function(shape: tuple, monic: bool):
+    """The generator function `chunk(a, s, h0.., m0..)` of an all-integer chunk shape, compiled once.
 
-def _run(steps: list, slots: int, y: CSetInstance, opts: SearchOptions, values: list) -> list[list[int]]:
-    """The host half: bind the steps to y's columns, index and monic marks, and run them.
-
-    A pin's one candidate is its value, if y has that part. Only under monic does a step
-    clear its slots and marks, before each try and when it runs out. Returns sorted slot lists.
+    A `for` per step, each write a local (`l4 = h3[l1 - 1]`), one `if ...
+    or ...: continue` on the checks and, under monic, the used marks and
+    equal writes of one object; marks set after it, cleared after the
+    inner loop. Local r is loaded from and stored in the slot list as a[s[r]].
     """
-    column, every = y.column, {obj: range(1, n + 1) for obj, n in y.card.items()}
-    used = {obj: [False] * n for obj, n in y.card.items()} if opts.monic else None
-    steps = [
-        (d, every[src] if d is None else y.index[src],
-         [(s, every[obj] if g is None else column[g], t, used and used[obj]) for s, g, t, obj in writes],
-         [(s, every[src] if g is None else column[g], t) for s, g, t in checks])
-        for d, src, writes, checks in steps
-    ]
-    for i, value in enumerate(values):
-        _, parts, writes, checks = steps[i]
-        steps[i] = None, [value] if value in parts else (), writes, checks
-    assign, results, limit = [0] * slots, [], opts.limit
+    it = iter(shape)
+    n_hosts, n_marks, whole = next(it), next(it), next(it)
+    runs = [[f"l{next(it)}" for _ in range(next(it))] for _ in range(next(it))] if whole else []
+    head, body, clears, stored, pad = [], [], [], [], "    "
 
-    def try_(writes: list, checks: list, value: int) -> bool:
-        assign[-1] = value
-        for s, col, d, mark in writes:
-            v = col[assign[s] - 1]
-            if mark:
-                if mark[v - 1]:
-                    return False
-                mark[v - 1] = True
-            assign[d] = v
-        for s, col, d in checks:
-            if col[assign[s] - 1] != assign[d]:
-                return False
-        return True
+    def ref(r: int) -> str:  # a local, loaded on first use
+        if r == len(head) + len(stored):
+            head.append(f"    l{r} = a[s[{r}]]")
+        return f"l{r}"
 
-    def clear(writes: list) -> None:
-        for _, _, d, mark in writes:
-            v = assign[d]
-            if v:
-                mark[v - 1] = False
-                assign[d] = 0
-
-    tried: list[Iterator[int]] = [iter(())] * len(steps)  # per step, its candidates left
-    depth = 0  # steps entered
-    while True:
-        if depth == len(steps):
-            results.append(assign[:-1])
-            if limit is not None and len(results) >= limit:
-                break
-        else:
-            d, index, _, _ = steps[depth]
-            tried[depth] = iter(index if d is None else index[assign[d] - 1])
-            depth += 1
-        while depth:
-            _, _, writes, checks = steps[depth - 1]
-            for value in tried[depth - 1]:
-                if used:
-                    clear(writes)
-                if try_(writes, checks, value):
-                    break
+    for cand in it:
+        source = f"h{cand}" if (at := next(it)) < 0 else f"h{cand}[{ref(at)} - 1]"
+        new, code, tests, same = [], [], [], {}
+        for _ in range(next(it)):
+            write, src, col, x = next(it), next(it), next(it), next(it)
+            value = "v" if src < 0 else f"h{col}[l{src} - 1]"
+            if write:
+                stored.append(name := f"l{len(head) + len(stored)}")
+                new.append(f"m{x}[{name} - 1]")
+                same.setdefault(x, []).append(name)
+                code += [f"{pad}    {name} = {value}"] if src >= 0 else []
             else:
-                if used:
-                    clear(writes)
-                depth -= 1
-                continue
-            break
+                tests.append(f"{value} != {ref(x)}")
+        body += [f"{pad}for {stored[-len(new)] if new else 'v'} in {source}:", *code]
+        pad += "    "
+        if monic and new:
+            tests += new + [f"{g[0]} == {g[1]}" if len(g) == 2 else f"len({{{', '.join(g)}}}) < {len(g)}"
+                            for g in same.values() if len(g) > 1]
+        if tests:
+            body.append(f"{pad}if {' or '.join(tests)}: continue")
+        if monic and new:
+            body.append(f"{pad}{' = '.join(new)} = True")
+            clears.append(f"{pad}{' = '.join(new)} = False")
+    if whole:
+        body.append(pad + "yield (" + "".join("[" + ", ".join(run) + "], " for run in runs) + ")")
+    else:
+        body += [f"{pad}a[s[{name[1:]}]] = {name}" for name in stored] + [pad + "yield"]
+    params = ["a", "s", *(f"h{i}" for i in range(n_hosts)), *(f"m{i}" for i in range(n_marks if monic else 0))]
+    space = {"__builtins__": {"len": len}}  # the source holds integers and fixed names only
+    exec("\n".join([f"def chunk({', '.join(params)}):", *head, *body, *reversed(clears)]), space)
+    return space["chunk"]
+
+
+def _nest(chunks: list) -> Iterator[None]:
+    """Run each chunk inside the one before, on an explicit stack; yield at each match of the last."""
+    stack = [chunks[0]()]
+    while stack:
+        for _ in stack[-1]:
+            if len(stack) < len(chunks):
+                stack.append(chunks[len(stack)]())
+                break
+            yield
         else:
-            break
-    # comparing flat slot lists compares components by object, then part
-    results.sort()
-    return results
+            stack.pop()
 
 
 def homomorphisms(
@@ -219,9 +229,17 @@ def homomorphisms(
     keys = tuple((obj, part) for obj, parts in pins.items() for part in parts)
     if keys not in x.plans:
         x.plans[keys] = _compile(x, keys)
-    slots, spans, steps = x.plans[keys]
-    found = _run(steps, slots, y, opts, [value for parts in pins.values() for value in parts.values()])
-    return [_adopt(x, y, {obj: a[i : i + n] for obj, i, n in spans}) for a in found]
+    bounds, chunks = x.plans[keys]
+    # the host half: bind each chunk to y's columns, index, parts, pin values and used marks
+    every = {obj: range(1, n + 1) for obj, n in y.card.items()}
+    tables = (y.column, y.index, every, [[v] if v in every[obj] else () for obj, ps in pins.items() for v in ps.values()])
+    used = {obj: [False] * n for obj, n in y.card.items()} if opts.monic else None
+    a = [0] * bounds[-1]  # the slot list, through which chunks pass values on
+    bound = [partial(_function(shape, opts.monic), a, s, *[tables[k][n] for k, n in hosts], *(used[o] for o in marks if used))
+             for shape, s, hosts, marks in chunks]
+    rows = bound[0]() if len(bound) == 1 else (tuple(a[i:j] for i, j in zip(bounds, bounds[1:])) for _ in _nest(bound))
+    # a row holds one list per object, each of fixed length: rows sort as their components flattened
+    return [_adopt(x, y, dict(zip(x.schema.objects, row))) for row in sorted(islice(rows, opts.limit))]
 
 
 def is_isomorphic(x: CSetInstance, y: CSetInstance) -> Transformation | None:

@@ -301,3 +301,103 @@ def test_a_plan_is_compiled_once_per_pattern_and_pin_keys(monkeypatch):
     assert len(compiled) == 7
     # a plan names host columns and indices by generator and holds no host
     assert all(v is None or type(v) in (int, str) for v in _leaves(list(pattern.plans.values())))
+
+
+def _quad_and_vertices(n: int, host_vertices: int = 0):
+    """The quad pattern plus n isolated vertices (V 5..n+4), and mesh_1x2 plus host_vertices isolated ones."""
+    from csetrw.colimits import coproduct
+
+    quad, mesh = quad_pattern(), gen_mesh(1, 2)
+    pattern, _ = coproduct([quad, make_instance(quad.schema, {"V": n}, {})])
+    host, _ = coproduct([mesh, make_instance(mesh.schema, {"V": host_vertices}, {})])
+    return quad, pattern, host
+
+
+def _rows(found):
+    return [tuple(tuple(t.comp[o]) for o in t.dom.schema.objects) for t in found]
+
+
+def test_plans_across_chunks_count_as_products():
+    # 2 quad steps and 20 vertex steps: the plan is cut into three chunks of generated loops
+    quad, pattern, host = _quad_and_vertices(20)
+    assert len(search_module._compile(pattern, ())[1]) == 3
+    quads = homomorphisms(quad, host)
+    pins = {"V": {p: 1 + p % 6 for p in range(5, 24)}}  # every vertex but the last pinned
+    found = homomorphisms(pattern, host, SearchOptions(initial=pins))
+    expected = sorted(
+        ((*q.comp["V"], *(1 + p % 6 for p in range(5, 24)), v), tuple(q.comp["E"]), tuple(q.comp["T"]))
+        for q in quads for v in range(1, 7)
+    )
+    assert _rows(found) == expected
+    assert all(is_natural(t) == [] for t in found)
+    some = homomorphisms(pattern, host, SearchOptions(initial=pins, limit=5))
+    assert len(some) == 5 and all(t in found for t in some)
+    # 6 ** 20 matches in all: the limit stops the search early
+    some = homomorphisms(pattern, host, SearchOptions(limit=40))
+    assert len(_rows(some)) == len(set(_rows(some))) == 40
+    assert _rows(some) == sorted(_rows(some)) and all(is_natural(t) == [] for t in some)
+
+
+def test_monic_plans_across_chunks_count_as_products():
+    # the host has 6 + 22 vertices; 18 pattern vertices are pinned apart, 2 stay free
+    quad, pattern, host = _quad_and_vertices(20, 22)
+    pins = {"V": {p: p + 2 for p in range(5, 23)}}  # onto isolated host vertices 7..24
+    quads = homomorphisms(quad, host, SearchOptions(monic=True))
+    found = homomorphisms(pattern, host, SearchOptions(monic=True, initial=pins))
+
+    def free(q):  # the host vertices neither the quad nor a pin takes: six of them
+        return [v for v in range(1, 29) if v not in q.comp["V"] and not 7 <= v <= 24]
+
+    expected = sorted(
+        ((*q.comp["V"], *range(7, 25), a, b), tuple(q.comp["E"]), tuple(q.comp["T"]))
+        for q in quads for a in free(q) for b in free(q) if a != b
+    )
+    assert len(expected) == len(quads) * 6 * 5
+    assert _rows(found) == expected
+    limited = homomorphisms(pattern, host, SearchOptions(monic=True, initial=pins, limit=9))
+    assert len(limited) == 9 and all(t in found for t in limited)
+    # no room for 24 distinct vertices in mesh_1x2: the search ends with nothing
+    assert homomorphisms(pattern, gen_mesh(1, 2), SearchOptions(monic=True)) == []
+
+
+def test_names_never_reach_the_generated_code():
+    from csetrw.schema import Generator, SchemaPresentation, validate_schema
+
+    schema = SchemaPresentation(
+        ["a[0]", "for", "__import__('os')"],
+        [Generator("g) or (1", "a[0]", "for"), Generator("x[-1]", "for", "__import__('os')"),
+         Generator("yield", "a[0]", "__import__('os')")],
+    )
+    assert validate_schema(schema) == []
+    rng = random.Random(47)
+    for _ in range(30):
+        x = random_instance(rng, schema, max_parts=2)
+        y = random_instance(rng, schema, max_parts=3)
+        for monic in (False, True):
+            homs = brute_homs(x, y, monic=monic)
+            assert homomorphisms(x, y, SearchOptions(monic=monic)) == homs
+            pins = random_pins(rng, x, y, homs, 2)
+            expected = [t for t in homs if all(t.comp[o][p - 1] == v for o, ps in pins.items() for p, v in ps.items())]
+            assert homomorphisms(x, y, SearchOptions(monic=monic, initial=pins)) == expected
+    big = random_instance(rng, schema, max_parts=12, min_parts=10)
+    assert len(search_module._compile(big, ())[1]) > 1
+    iso = is_isomorphic(big, big)
+    assert iso is not None and is_natural(iso) == [] and iso.is_monic()
+
+
+def test_monic_refuses_two_writes_of_one_object_onto_one_part(graph, d2):
+    # one step assigns an edge and writes both its ends; a loop forces them onto one vertex
+    edge = make_instance(graph, {"V": 2, "E": 1}, {"src": [1], "tgt": [2]})
+    loop = make_instance(graph, {"V": 1, "E": 1}, {"src": [1], "tgt": [1]})
+    assert len(homomorphisms(edge, loop)) == 1
+    assert homomorphisms(edge, loop, SearchOptions(monic=True)) == []
+    # a triangle writes its three edges in one step; in the host, two of them are one edge
+    tri = make_instance(
+        d2, {"V": 3, "E": 3, "T": 1}, {"src": [1, 1, 2], "tgt": [3, 2, 3], "d0": [1], "d1": [2], "d2": [3]}
+    )
+    pinch = make_instance(
+        d2, {"V": 1, "E": 2, "T": 1}, {"src": [1, 1], "tgt": [1, 1], "d0": [1], "d1": [2], "d2": [2]}
+    )
+    assert len(homomorphisms(tri, pinch)) == 1
+    assert homomorphisms(tri, pinch, SearchOptions(monic=True)) == []
+    assert homomorphisms(tri, tri, SearchOptions(monic=True)) == [identity(tri)]

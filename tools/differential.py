@@ -8,7 +8,8 @@ interpreter with its own `src/` first on the import path, and both draw
 their inputs from this checkout's `tests/oracles.py` with the same seeds:
 homomorphisms (plain, monic, limited, and pinned: half of these cases
 are drawn over a cyclic schema and carry 2 or 3 pins, which may force
-or contradict each other), `is_isomorphic`, pushouts, pullbacks,
+or contradict each other; and, limited, of patterns with at least 12
+branching steps into themselves plus a padding), `is_isomorphic`, pushouts, pullbacks,
 `restrict`, pushout complements and their refusals, `rewrite`
 and `find_and_rewrite` under DPO, SPO and SqPO, chains of rewrite steps
 that feed each result back as the next host, the partial map
@@ -188,6 +189,40 @@ def case_homs(rng):
             rec.data[f"pinned,monic={monic}"] = [_comp(t) for t in homomorphisms(x, y, opts)]
     iso = is_isomorphic(x, x)
     rec.data["self_iso"] = _comp(iso) if iso else None
+    return rec
+
+
+def case_homs_deep(rng):
+    """Patterns with at least 12 branching steps, into themselves plus a random padding.
+
+    Their search plans run past one chunk of generated loops. Every
+    search carries a limit, since the full enumerations are exponential;
+    each is made plain, monic, and pinned at 1-3 parts that follow the
+    inclusion or contradict it.
+    """
+    from oracles import random_acyclic_schema, random_cyclic_schema, random_instance, random_pins
+
+    from csetrw import SearchOptions, coproduct, homomorphisms
+    from csetrw.search import _branch_order
+
+    cyclic = rng.random() < 0.5
+    while True:
+        schema = random_cyclic_schema(rng) if cyclic else random_acyclic_schema(rng)
+        x = _small(rng, schema, 30, max_parts=8, min_parts=2)
+        if sum(1 for _ in _branch_order(x)) >= 12:
+            break
+    y, (incl, _) = coproduct([x, random_instance(rng, schema, max_parts=3)])
+    rec = Record(schema)
+    rec.fix("x", x)
+    rec.fix("y", y)
+    pins = random_pins(rng, x, y, [incl], rng.randint(1, 3))
+    rec.data["pins"] = {obj: list(ps.items()) for obj, ps in pins.items()}
+    for monic in (False, True):
+        for limit in (1, 6, 40):
+            opts = SearchOptions(monic=monic, limit=limit)
+            rec.data[f"monic={monic},limit={limit}"] = [_comp(t) for t in homomorphisms(x, y, opts)]
+        opts = SearchOptions(monic=monic, initial=pins, limit=40)
+        rec.data[f"pinned,monic={monic}"] = [_comp(t) for t in homomorphisms(x, y, opts)]
     return rec
 
 
@@ -696,6 +731,7 @@ def case_typed_graphs(rng):
 
 FAMILIES = {
     "homomorphisms": case_homs,
+    "homs deep": case_homs_deep,
     "pushout/pullback": case_limits,
     "restrict": case_restrict,
     "complement": case_complement,
