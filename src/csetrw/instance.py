@@ -4,12 +4,12 @@ Parts of each object are the integers 1..card; every generator is one
 total column of codomain part ids. The preimage index is built on first
 use and cached on the instance, one generator at a time, so incidence
 queries cost O(answer) and instances nobody searches or walks backwards
-never pay for it. Search and `incident` read it; `deletion_closure`, the
-one upward closure behind SPO and final pullback complements, reads it
-only for the generators on a cycle of the schema. Search plans and the
-partial map classifier are cached the same way.
-`restrict` is the one subinstance constructor; it numbers the kept parts
-swap-last, as deletion in place would.
+never pay for it. Search, `incident`, `restrict` and `deletion_closure`
+(behind SPO and final pullback complements) read it. A restriction, and
+an output `colimits` builds with no quotient, is handed its input's lists
+and shares their inner lists: safe only as no list changes once made.
+Search plans and the classifier are cached the same way. `restrict` is
+the one subinstance constructor; it numbers the kept parts swap-last.
 
 `make_instance` copies and validates what enters the library. What
 `restrict` and `colimits` build from valid instances by natural maps is
@@ -24,7 +24,7 @@ violation is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, compress
 
 from .errors import InvalidInstanceError, PartOutOfRangeError
@@ -177,13 +177,17 @@ def _evaluate(x: CSetInstance, path: SchemaPath, shifted: dict[str, list[int]]) 
 
 
 class _PreimageIndex(dict):
-    """Per generator name, the preimage lists of x's column, each built on first lookup."""
+    """Per generator name, x's preimage lists, made on first lookup: by the function a step handed on, if any."""
 
-    def __init__(self, x: CSetInstance):
+    def __init__(self, x: CSetInstance, handed=()):
         super().__init__()
         self.schema, self.card, self.column = x.schema, x.card, x.column  # not x: no cycle
+        self.handed = dict(handed)
 
     def __missing__(self, name: str) -> list[list[int]]:
+        if name in self.handed:
+            self[name] = buckets = self.handed.pop(name)()
+            return buckets
         buckets: list[list[int]] = [[] for _ in range(self.card[self.schema.generator(name).cod])]
         for part, value in enumerate(self.column[name], start=1):
             buckets[value - 1].append(part)
@@ -194,6 +198,38 @@ class _PreimageIndex(dict):
 def build_index(x: CSetInstance) -> dict[str, list[list[int]]]:
     """x's preimage index; a generator's lists are built when it is first looked up."""
     return _PreimageIndex(x)
+
+
+def _makers(x: CSetInstance) -> dict:
+    """Per generator whose lists x has made or been handed, a function making a new outer list of them."""
+    index = x.__dict__.get("index")
+    return {**index.handed, **{name: lists.copy for name, lists in index.items()}} if index is not None else {}
+
+
+def _hand_on(y: CSetInstance, edits: dict[str, tuple]) -> CSetInstance:
+    """y, whose lists for each generator in `edits` are made on first lookup by `_relisted(*edits[name])`."""
+    y.__dict__["index"] = _PreimageIndex(y, {name: partial(_relisted, *args) for name, args in edits.items()})
+    return y
+
+
+def _relisted(make, n: int, moves: dict[int, int], left: dict[int, int], joined: dict[int, int]) -> list[list[int]]:
+    """A new outer list from `make()`, edited into an output's preimage lists.
+
+    The list at each old codomain id in `moves` goes to its new id, and the outer list is cut or padded to n
+    lists; each old domain id in `left` leaves the list it names, each domain part in `joined` joins the one it
+    names. Only those lists are replaced, each by a new sorted one: an inner list may be another instance's.
+    """
+    lists = make()
+    for t, slot in moves.items():
+        lists[slot - 1] = lists[t - 1]
+    del lists[n:]
+    lists += [[] for _ in range(n - len(lists))]
+    touched: dict[int, list[int]] = {t: [] for t in left.values()}
+    for p, t in joined.items():
+        touched.setdefault(t, []).append(p)
+    for t, ps in touched.items():
+        lists[t - 1] = sorted([p for p in lists[t - 1] if p not in left] + ps)
+    return lists
 
 
 def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dict[str, list[int]]) -> CSetInstance:
@@ -214,7 +250,6 @@ def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dic
 _trusted = CSetInstance  # (schema, card, columns), kept as they are and unchecked
 
 _NATURALS = list(range(1025))
-_FEW_TARGETS = 4  # see `_preimages`
 
 
 def _naturals(n: int) -> list[int]:
@@ -265,12 +300,12 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: 
     For callers that already hold the deleted parts. Returns the
     subinstance, its inclusion and, per object, the kept parts that
     moved as {old id: new id}; every other kept part keeps its id. Each
-    column is copied, and `_preimages` finds its entries that point at
-    dropped or moved parts: kept parts' entries are patched, and kept
-    parts that point at dropped ones are found as (generator, part)
-    pairs in column order. If there are any, nothing is built: they are
-    appended to `dangling` and None is returned or, without a `dangling`
-    list, ValueError is raised.
+    column is copied, and where its codomain loses or moves parts, their
+    preimage lists give the entries to patch and the kept parts that
+    point at dropped ones, as (generator, part) pairs in column order. If
+    there are any, nothing is built: they are appended to `dangling` and
+    None is returned or, without a `dangling` list, ValueError is raised.
+    The subinstance is handed the lists x has built, renumbered.
     """
     from .transform import _adopt
 
@@ -297,75 +332,58 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: 
         sub_col = col[: card[gen.dom]]
         for old, slot in dom_moved.items():
             sub_col[slot - 1] = col[old - 1]
-        for i in _preimages(col, set(gone).union(cod_moved)):
-            if i + 1 in dropped:
-                continue
-            if col[i] in gone:
-                found.append((gen.name, i + 1))
-            else:
-                sub_col[dom_moved.get(i + 1, i + 1) - 1] = cod_moved[col[i]]
+        if gone or cod_moved:
+            lists = x.index[gen.name]
+            for p in sorted(p for t in (*gone, *cod_moved) for p in lists[t - 1] if p not in dropped):
+                if col[p - 1] in gone:
+                    found.append((gen.name, p))
+                else:
+                    sub_col[dom_moved.get(p, p) - 1] = cod_moved[col[p - 1]]
         columns[gen.name] = sub_col
     if found:
         if dangling is None:
             raise ValueError(f"kept parts are not closed under column {found[0][0]!r}")
         dangling += found
         return None
-    sub = _trusted(x.schema, card, columns)
-    return sub, _adopt(sub, x, slots), moved
+    sub, edits = _trusted(x.schema, card, columns), {}
+    for name in _makers(x):
+        gen = x.schema.generator(name)
+        col, gone, cod_moved = x.column[name], removed.get(gen.cod, ()), moved[gen.cod]
+        ends = ((p, col[p - 1]) for p in (*removed.get(gen.dom, ()), *moved[gen.dom]))
+        left = {p: cod_moved.get(t, t) for p, t in ends if t not in gone}
+        joined = {slot: columns[name][slot - 1] for slot in moved[gen.dom].values()}
+        edits[name] = x.index[name].copy, card[gen.cod], cod_moved, left, joined  # x's made: no chain grows
+    return _hand_on(sub, edits), _adopt(sub, x, slots), moved
 
 
 def _preimages(col: list[int], targets: set[int]) -> list[int]:
-    """Ascending 0-based positions of `col` whose entry is in `targets`.
-
-    C-level work: up to `_FEW_TARGETS` targets, a `list.index` scan per
-    target (on the flip hosts' T columns, Python 3.11.7, about 5 ns per
-    entry and target), else one pass for all (about 20 ns per entry),
-    skipped if no entry is a target. At 4 targets the scans still win.
-    """
-    if len(targets) > _FEW_TARGETS:
-        return [] if targets.isdisjoint(col) else list(compress(range(len(col)), map(targets.__contains__, col)))
-    hits: list[int] = []
-    for target in targets:
-        i = -1
-        try:
-            while True:
-                hits.append(i := col.index(target, i + 1))
-        except ValueError:  # past the last hit
-            pass
-    return sorted(hits)
+    """Ascending 0-based positions of `col` whose entry is in `targets`, in one C-level pass."""
+    return [] if targets.isdisjoint(col) else list(compress(range(len(col)), map(targets.__contains__, col)))
 
 
 def deletion_closure(x: CSetInstance, core: dict[str, set[int]]) -> dict[str, set[int]]:
     """The parts of x from which some path of columns reaches `core`.
 
-    Objects are visited sinks first, and `_preimages` finds a column's
-    entries into the closure once its codomain is settled. A generator on
-    a cycle of the schema is followed through its preimage lists instead,
-    so only such generators are indexed, and none on an acyclic schema.
+    One worklist: each part that enters the closure is expanded once,
+    through the preimage lists of the generators into its object, so
+    only generators into an object the closure reaches are indexed.
     Raises PartOutOfRangeError for a core part outside 1..card.
     """
-    schema = x.schema
+    schema, index = x.schema, x.index
     closed = {obj: set(core.get(obj, ())) for obj in schema.objects}
     for obj, parts in closed.items():
         if parts and not 1 <= min(parts) <= max(parts) <= x.card[obj]:
             bad = min(parts) if min(parts) < 1 else max(parts)
             raise PartOutOfRangeError(f"part {bad} outside 1..{x.card[obj]} for {obj!r}")
-    loops = [gen for gen in schema.generators if schema.on_cycle(gen)]
-    for c in schema.sources_first[::-1]:
-        for gen in schema.outgoing(c):
-            if gen not in loops:
-                closed[c].update(i + 1 for i in _preimages(x.column[gen.name], closed[gen.cod]))
-        if not any(gen.cod == c for gen in loops):
-            continue
-        work = [(c, part) for part in closed[c]]  # each part is expanded at most twice
-        while work:
-            obj, part = work.pop()
-            for gen in loops:
-                if gen.cod == obj:
-                    for pre in x.index[gen.name][part - 1]:
-                        if pre not in closed[gen.dom]:
-                            closed[gen.dom].add(pre)
-                            work.append((gen.dom, pre))
+    work = [(obj, part) for obj, parts in closed.items() for part in parts]
+    while work:
+        obj, part = work.pop()
+        for gen in schema.incoming(obj):
+            seen = closed[gen.dom]
+            for pre in index[gen.name][part - 1]:
+                if pre not in seen:
+                    seen.add(pre)
+                    work.append((gen.dom, pre))
     return closed
 
 

@@ -469,6 +469,8 @@ def test_criterion_10_mesh_benchmark_counts():
         assert counts[0] == len(homomorphisms(pattern, gen_mesh(2, 2)))
         times = [row["seconds"] for row in table]
         assert times == sorted(times), f"homsearch times not nondecreasing: {times}"
+        # each size's first call, cold, is reported next to the median
+        assert all(row["first_seconds"] > 0 for row in table + run_bench("step", [(2, 2)], "spo"))
         flips = run_bench("rewrite", [(2, 2)])
         assert flips[0]["count"] == len(
             homomorphisms(pattern, gen_mesh(2, 2), SearchOptions(monic=True))

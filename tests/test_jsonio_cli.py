@@ -429,6 +429,13 @@ def test_cli_bench_counts(tmp_path):
     assert counts == [2, 4]
 
 
+def test_cli_bench_json_reports_the_first_call(capsys):
+    assert main(["bench", "--task", "step", "--kind", "sqpo", "--sizes", "2x2", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["size"] == "2x2" and row["count"] == 33
+    assert row["first_seconds"] > 0 and row["seconds"] > 0
+
+
 @pytest.mark.parametrize("kind", ["dpo", "spo", "sqpo"])
 def test_cli_bench_step_counts(kind, capsys):
     # one flip at a pinned interior cell: the result has the mesh's parts

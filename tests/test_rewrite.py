@@ -27,6 +27,7 @@ from csetrw.errors import (
     PartOutOfRangeError,
 )
 from csetrw.instance import (
+    CSetInstance,
     _restrict_removing,
     check_discrete_opfibration,
     deletion_closure,
@@ -300,15 +301,16 @@ def test_deletion_closure_follows_a_long_loop():
     assert closed == {"V": set(), "E": set(range(1, n + 1))}
 
 
-def test_deletion_closure_indexes_only_generators_on_a_cycle():
+def test_deletion_closure_indexes_only_generators_into_reached_objects():
     x = make_instance(
         loop_graph_schema(),
         {"V": 2, "E": 3},
         {"src": [1, 1, 2], "tgt": [2, 2, 1], "next": [2, 3, 3]},
     )
     assert deletion_closure(x, {"E": {2}}) == {"V": set(), "E": {1, 2}}
+    assert set(x.index) == {"next"}
     assert deletion_closure(x, {"V": {1}}) == {"V": {1}, "E": {1, 2, 3}}
-    assert "next" in x.index and "src" not in x.index and "tgt" not in x.index
+    assert set(x.index) == {"next", "src", "tgt"}
 
 
 @pytest.mark.parametrize("part", [0, -1, 4, 7])
@@ -375,19 +377,113 @@ def index_builds(monkeypatch):
     return built
 
 
+@pytest.fixture()
+def list_builds(monkeypatch):
+    """(index, generator name) for each generator's lists built from its column, in order."""
+    built = []
+    missing = instance_module._PreimageIndex.__missing__
+
+    def counting(index, name):
+        if name not in index.handed:
+            built.append((index, name))
+        return missing(index, name)
+
+    monkeypatch.setattr(instance_module._PreimageIndex, "__missing__", counting)
+    return built
+
+
+def _carried(comp: dict[str, list[int]], out: RewriteOutcome) -> dict[str, list[int]]:
+    """A map's components into a step's host, carried to its result; each part must survive."""
+    back = {o: {h: k for k, h in enumerate(out.maps["k_to_g"].comp[o], start=1)} for o in comp}
+    return {o: [out.maps["k_to_result"].comp[o][back[o][h] - 1] for h in hs] for o, hs in comp.items()}
+
+
 @pytest.mark.parametrize("kind", [DPO, SPO, SQPO])
-def test_rewrite_at_a_match_builds_no_index_of_host_or_outputs(kind, index_builds):
+def test_rewrite_chain_builds_lists_only_on_the_first_host(kind, index_builds, list_builds):
     mesh = gen_mesh(3, 3)
     flip = flip_rule()
     rule = Rule(flip.l, flip.r, kind=kind)
-    found = homomorphisms(rule.lhs, mesh, SearchOptions(monic=True))
-    host = make_instance(mesh.schema, mesh.card, mesh.column)  # no index cached yet
+    cells, used = [], set()  # matches on three cells with no triangle in common
+    for match in homomorphisms(rule.lhs, mesh, SearchOptions(monic=True)):
+        if used.isdisjoint(match.comp["T"]) and len(cells) < 3:
+            cells.append(match.comp)
+            used.update(match.comp["T"])
+    host = first = make_instance(mesh.schema, mesh.card, mesh.column)  # no index cached yet
     index_builds.clear()
-    for match in found:
-        out = rewrite(rule, Transformation(rule.lhs, host, match.comp))
-        ends = [out.result, out.k] + [x for t in out.maps.values() for x in (t.dom, t.cod)]
-        made = [host] + [x for x in ends if not any(x is y for y in (rule.lhs, rule.interface, rule.rhs))]
-        assert not [x for x in index_builds if any(x is y for y in made)]
+    list_builds.clear()
+    rule_parts = (rule.lhs, rule.interface, rule.rhs)
+    for step in range(len(cells)):
+        out = rewrite(rule, Transformation(rule.lhs, host, cells[step]))
+        cells = cells[: step + 1] + [_carried(comp, out) for comp in cells[step + 1 :]]
+        host = out.result
+    assert len(cells) == 3
+    assert [x for x in index_builds if not any(x is y for y in rule_parts)] == [first]
+    read = ["d0", "d1", "d2"] if kind != SQPO else ["src", "tgt", "d0", "d1", "d2"]
+    assert all(index is first.index for index, _ in list_builds)
+    assert sorted(name for _, name in list_builds) == sorted(read)
+
+
+def _lists_from_column(x: CSetInstance, name: str) -> list[list[int]]:
+    """The preimage lists of one column, read from the column alone."""
+    lists: list[list[int]] = [[] for _ in range(x.card[x.schema.generator(name).cod])]
+    for part, value in enumerate(x.column[name], start=1):
+        lists[value - 1].append(part)
+    return lists
+
+
+def _random_chain_rule(rng, schema, kind: str) -> Rule:
+    """A rule for a chain: l monic, or for SqPO often not; r an injection that creates parts, any map, or 1."""
+    lhs = random_instance(rng, schema, max_parts=2)
+    interface = random_instance(rng, schema, max_parts=2) if kind == SQPO and rng.random() < 0.6 else None
+    ls = homomorphisms(interface, lhs) if interface else []
+    if ls:
+        l = rng.choice(ls)
+    else:
+        parts = random_closed_parts(rng, lhs, keep_probability=0.6)
+        interface = subinstance(lhs, parts)
+        l = Transformation(interface, lhs, {o: sorted(parts[o]) for o in schema.objects})
+    pick = rng.random()
+    if pick < 0.5:
+        r = coproduct([interface, random_instance(rng, schema, max_parts=2)])[1][0]
+    else:
+        rs = homomorphisms(interface, random_instance(rng, schema, max_parts=2)) if pick < 0.75 else []
+        r = rng.choice(rs) if rs else identity(interface)
+    return Rule(l, r, kind=kind)
+
+
+@pytest.mark.parametrize(
+    "kind, cyclic", [(DPO, False), (SPO, False), (SQPO, False), (DPO, True), (SPO, True)]
+)
+def test_handed_on_preimage_lists_agree_with_their_columns(kind, cyclic):
+    """Every list a step hands on, and every host's, equals one read off its column."""
+    rng = random.Random(f"handed-on:{kind}:{cyclic}")
+    handed = moved = 0
+    for _ in range(150):
+        schema = random_cyclic_schema(rng) if cyclic else random_acyclic_schema(rng)
+        rule, host = _random_chain_rule(rng, schema, kind), random_instance(rng, schema, max_parts=4)
+        for gen in schema.generators:
+            if rng.random() < 0.7:
+                host.index[gen.name]
+        seen = [host]
+        for _ in range(4):
+            matches = homomorphisms(rule.lhs, host, SearchOptions(monic=kind == SQPO))
+            rng.shuffle(matches)
+            for match in matches:
+                try:
+                    out = rewrite(rule, match)
+                    break
+                except ComplementViolationsError:
+                    continue
+            else:
+                break
+            handed += len(instance_module._makers(out.k)) + len(instance_module._makers(out.result))
+            moved += any(out.maps["k_to_g"].comp[o] != list(range(1, out.k.card[o] + 1)) for o in schema.objects)
+            seen += [out.k, out.result] + [x for t in out.maps.values() for x in (t.dom, t.cod)]
+            for x in seen:
+                for name in instance_module._makers(x):
+                    assert x.index[name] == _lists_from_column(x, name), (x, name)
+            host = out.result
+    assert handed > 300 and moved >= 5, (handed, moved)
 
 
 def test_sqpo_requires_monic_match(graph):
