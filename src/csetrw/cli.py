@@ -177,9 +177,7 @@ def cmd_gen_mesh(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = bench_mod.run_bench(args.task, bench_mod.parse_sizes(args.sizes), args.kind)
-    if args.json:
-        _write(dumps(rows), args.output)
-    elif args.output:
+    if args.output:
         with open(args.output, "w", newline="") as fh:
             bench_mod.write_csv(rows, fh)
     else:
@@ -242,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default=DPO, help="flip rule semantics for rewrite and step")
     p.add_argument("--sizes", default="", help='comma separated, e.g. "2x2,2x3"')
     p.add_argument("-o", "--output")
-    p.add_argument("--json", action="store_true", help="one JSON list of rows, with each size's first call")
     p.set_defaults(func=cmd_bench)
     return parser
 

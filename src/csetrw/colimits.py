@@ -12,9 +12,8 @@ slots that stopped being roots, and columns pushed down per summand with
 the first summand is merged, its parts keep their ids and its columns are
 copied, so a pushout along a monic f keeps C's numbering, appends B's
 unglued parts and costs C one list copy per column; `_pushout` builds it
-with no quotient from `_append_program(f)`, and hands C's preimage lists
-on to it, joined by the appended parts. Each output list is built once
-and kept as it is.
+with no quotient from `_append_program(f)`, handed C's preimage lists.
+Each output list is built once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages. `pushout`, `pullback` and `final_pullback_complement` check
 that their input maps are natural, so columns descend and every output
@@ -28,8 +27,7 @@ order over the parts it is asked for; any other part classifies as ⊥,
 the map defined nowhere, whose T-part per object is fixed with T(X).
 A pushout complement reads only what it deletes, and a final pullback
 complement only the parts of G from which some path reaches the match,
-the only parts whose χ is not ⊥; K takes the lists of the restriction
-it patches. `_quotient` hands on no lists.
+the only parts whose χ is not ⊥; `_quotient` hands on no lists.
 T(X) is built on first use and kept on X, like the preimage index, and
 T(l) and its fibres on l, so a rule's T(L), T(I) and T(l) are built once.
 """
@@ -42,7 +40,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import ComplementViolationsError, CyclicSchemaError, NotMonicError
 from .instance import (
-    CSetInstance, _evaluate, _hand_on, _makers, _naturals, _restrict_removing, _trusted, deletion_closure,
+    CSetInstance, _PreimageIndex, _evaluate, _naturals, _patched, _restrict_removing, _trusted, deletion_closure,
 )
 from .schema import SchemaPath, is_acyclic
 from .transform import Transformation, _adopt, identity, is_natural
@@ -200,12 +198,12 @@ def _pushout(f: Transformation, g: Transformation, program: tuple[dict, dict] | 
         naturals = _naturals(card[obj])
         ids[obj], leg_c[obj] = g.comp[obj] + naturals[n + 1 : card[obj] + 1], naturals[1 : n + 1]
     columns = {gen.name: c.column[gen.name] + list(map(ids[gen.cod].__getitem__, at)) for gen, at in entries.items()}
-    edits = {}  # C's preimage lists, joined by the appended parts
-    for name, make in _makers(c).items():
-        gen = c.schema.generator(name)
-        n = c.card[gen.dom]
-        edits[name] = make, card[gen.cod], {}, {}, dict(enumerate(columns[name][n:], n + 1))
-    apex = _hand_on(_trusted(c.schema, card, columns), edits)
+    handed = {  # C's preimage lists, joined by the appended parts
+        name: _patched(lists, card[gen.cod], {}, {}, dict(enumerate(columns[name][c.card[gen.dom] :], c.card[gen.dom] + 1)))
+        for name, lists in {**c.index.handed, **c.index}.items() for gen in [c.schema.generator(name)]
+    }
+    apex = _trusted(c.schema, card, columns)
+    apex.__dict__["index"] = _PreimageIndex(apex, handed)
     leg_b = {obj: list(map(ids[obj].__getitem__, at)) for obj, at in where.items()}
     return PushoutResult(apex, _adopt(f.cod, apex, leg_b), _adopt(c, apex, leg_c), f, g)
 
@@ -608,22 +606,25 @@ def _final_pullback_complement(l: Transformation, match: Transformation) -> tupl
                     card[c] += 1
                     ids[h, t] = card[c]
                     k_to_g[c].append(h)
-    makers, edits = _makers(sub), {}
+    handed = {}
     for gen in schema.generators:
         col, t_col, out = g.column[gen.name], t_i.instance.column[gen.name], sub.column[gen.name]
         ids, cod_moved, dom_moved = pair_id[gen.cod], moved[gen.cod], moved[gen.dom]
-        n, left, joined = len(out), {}, {}  # sub's lists, less and plus the patched entries
+        n, left = len(out), {}  # sub's lists that the patched entries leave
         for h, ts in fibres[gen.dom]:
             v = col[h - 1]
             # a far part is over ⊥ and keeps the id `restrict` gave it
             entries = [ids.get((v, t_col[t - 1])) or cod_moved.get(v, v) for t in ts]
             if entries:
                 h = dom_moved.get(h, h)
-                out[h - 1], left[h], joined[h] = entries[0], cod_moved.get(v, v), entries[0]
+                out[h - 1], left[h] = entries[0], cod_moved.get(v, v)
                 out += entries[1:]
-        if gen.name in makers:
-            edits[gen.name] = makers[gen.name], card[gen.cod], {}, left, {**joined, **dict(enumerate(out[n:], n + 1))}
-    k = _hand_on(_trusted(schema, card, sub.column), edits)
+        if gen.name in sub.index.handed:  # entries that change move to their new lists; copies join theirs
+            left = {h: t for h, t in left.items() if out[h - 1] != t}
+            joined = {h: out[h - 1] for h in (*left, *range(n + 1, len(out) + 1))}
+            handed[gen.name] = _patched(sub.index.handed[gen.name], card[gen.cod], {}, left, joined)
+    k = _trusted(schema, card, sub.column)
+    k.__dict__["index"] = _PreimageIndex(k, handed)
     # η is the inclusion, so I-part i is T(I)-part i
     i_to_k = {
         obj: [pair_id[obj][match.comp[obj][v - 1], i] for i, v in enumerate(l.comp[obj], start=1)]

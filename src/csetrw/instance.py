@@ -5,11 +5,10 @@ total column of codomain part ids. The preimage index is built on first
 use and cached on the instance, one generator at a time, so incidence
 queries cost O(answer) and instances nobody searches or walks backwards
 never pay for it. Search, `incident`, `restrict` and `deletion_closure`
-(behind SPO and final pullback complements) read it. A restriction, and
-an output `colimits` builds with no quotient, is handed its input's lists
-and shares their inner lists: safe only as no list changes once made.
-Search plans and the classifier are cached the same way. `restrict` is
-the one subinstance constructor; it numbers the kept parts swap-last.
+(behind SPO and final pullback complements) read it. A restriction, and a
+pushout `colimits` builds with no quotient, share their input's lists,
+edited: no list changes once made. Search plans and the classifier are
+cached the same way. `restrict` numbers the kept parts swap-last.
 
 `make_instance` copies and validates what enters the library. What
 `restrict` and `colimits` build from valid instances by natural maps is
@@ -24,8 +23,8 @@ violation is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import accumulate, compress
+from functools import cached_property
+from itertools import accumulate, compress, filterfalse
 
 from .errors import InvalidInstanceError, PartOutOfRangeError
 from .schema import SchemaPath, SchemaPresentation, graph_schema
@@ -177,7 +176,7 @@ def _evaluate(x: CSetInstance, path: SchemaPath, shifted: dict[str, list[int]]) 
 
 
 class _PreimageIndex(dict):
-    """Per generator name, x's preimage lists, made on first lookup: by the function a step handed on, if any."""
+    """Per generator name, x's preimage lists, made on first lookup: from what a step handed on, if anything."""
 
     def __init__(self, x: CSetInstance, handed=()):
         super().__init__()
@@ -186,7 +185,7 @@ class _PreimageIndex(dict):
 
     def __missing__(self, name: str) -> list[list[int]]:
         if name in self.handed:
-            self[name] = buckets = self.handed.pop(name)()
+            self[name] = buckets = self.handed.pop(name).whole()
             return buckets
         buckets: list[list[int]] = [[] for _ in range(self.card[self.schema.generator(name).cod])]
         for part, value in enumerate(self.column[name], start=1):
@@ -194,42 +193,52 @@ class _PreimageIndex(dict):
         self[name] = buckets
         return buckets
 
+    def lists(self, name: str):  # self[name], or a handed `_Patched` as it is: both give part t's list at [t - 1]
+        return self.handed[name] if name in self.handed else self[name]
+
 
 def build_index(x: CSetInstance) -> dict[str, list[list[int]]]:
     """x's preimage index; a generator's lists are built when it is first looked up."""
     return _PreimageIndex(x)
 
 
-def _makers(x: CSetInstance) -> dict:
-    """Per generator whose lists x has made or been handed, a function making a new outer list of them."""
-    index = x.__dict__.get("index")
-    return {**index.handed, **{name: lists.copy for name, lists in index.items()}} if index is not None else {}
+class _Patched(dict):
+    """New lists at a few 0-based slots over a shared outer list `base`, cut to n lists; slots past it are all here."""
+
+    __slots__ = ("base", "n")
+
+    def __missing__(self, i: int) -> list[int]:
+        return self.base[i]
+
+    def whole(self) -> list[list[int]]:
+        out = self.base[: self.n] + [[]] * (self.n - len(self.base))  # each slot past base is patched
+        for i in filter(self.n.__gt__, self):
+            out[i] = self[i]
+        return out
 
 
-def _hand_on(y: CSetInstance, edits: dict[str, tuple]) -> CSetInstance:
-    """y, whose lists for each generator in `edits` are made on first lookup by `_relisted(*edits[name])`."""
-    y.__dict__["index"] = _PreimageIndex(y, {name: partial(_relisted, *args) for name, args in edits.items()})
-    return y
+def _patched(lists, n: int, moves: dict[int, int], left: dict[int, int], joined: dict[int, int]) -> _Patched:
+    """An input's lists (a list or a `_Patched`) edited into an output's n lists, in time for the edits.
 
-
-def _relisted(make, n: int, moves: dict[int, int], left: dict[int, int], joined: dict[int, int]) -> list[list[int]]:
-    """A new outer list from `make()`, edited into an output's preimage lists.
-
-    The list at each old codomain id in `moves` goes to its new id, and the outer list is cut or padded to n
-    lists; each old domain id in `left` leaves the list it names, each domain part in `joined` joins the one it
-    names. Only those lists are replaced, each by a new sorted one: an inner list may be another instance's.
+    The list at each old codomain id in `moves` goes to its new id, and one at a new id past the input's starts
+    empty; each old domain id in `left` leaves the list it names, each part in `joined` joins the one it names.
+    Edited lists are new and sorted, others shared; patches are copied until past len(base) // 32 + 4.
     """
-    lists = make()
-    for t, slot in moves.items():
-        lists[slot - 1] = lists[t - 1]
-    del lists[n:]
-    lists += [[] for _ in range(n - len(lists))]
-    touched: dict[int, list[int]] = {t: [] for t in left.values()}
+    patched = isinstance(lists, _Patched)
+    start = lists.n if patched else len(lists)
+    if patched and n == start and not (moves or left or joined):
+        return lists
+    keep = patched and len(lists) <= len(lists.base) // 32 + 4
+    out = _Patched(lists if keep else ())
+    out.base, out.n = lists.base if keep else lists.whole() if patched else lists, n
+    out.update({slot - 1: lists[t - 1] for t, slot in moves.items()})
+    out.update(dict.fromkeys(range(start, n), []))
+    touched = dict.fromkeys(left.values(), ())
     for p, t in joined.items():
-        touched.setdefault(t, []).append(p)
+        touched[t] = (*touched.get(t, ()), p)
     for t, ps in touched.items():
-        lists[t - 1] = sorted([p for p in lists[t - 1] if p not in left] + ps)
-    return lists
+        out[t - 1] = sorted([*filterfalse(left.__contains__, out[t - 1]), *ps])
+    return out
 
 
 def make_instance(schema: SchemaPresentation, card: dict[str, int], columns: dict[str, list[int]]) -> CSetInstance:
@@ -300,12 +309,11 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: 
     For callers that already hold the deleted parts. Returns the
     subinstance, its inclusion and, per object, the kept parts that
     moved as {old id: new id}; every other kept part keeps its id. Each
-    column is copied, and where its codomain loses or moves parts, their
-    preimage lists give the entries to patch and the kept parts that
-    point at dropped ones, as (generator, part) pairs in column order. If
-    there are any, nothing is built: they are appended to `dangling` and
-    None is returned or, without a `dangling` list, ValueError is raised.
-    The subinstance is handed the lists x has built, renumbered.
+    column is copied, and x's preimage lists give its entries to patch
+    and the kept parts that point at dropped ones, as (generator, part)
+    pairs in column order. If there are any, nothing is built: they are
+    appended to `dangling` and None is returned or, without a `dangling`
+    list, ValueError is raised. The subinstance is handed x's lists.
     """
     from .transform import _adopt
 
@@ -333,7 +341,7 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: 
         for old, slot in dom_moved.items():
             sub_col[slot - 1] = col[old - 1]
         if gone or cod_moved:
-            lists = x.index[gen.name]
+            lists = x.index.lists(gen.name)
             for p in sorted(p for t in (*gone, *cod_moved) for p in lists[t - 1] if p not in dropped):
                 if col[p - 1] in gone:
                     found.append((gen.name, p))
@@ -345,15 +353,16 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: 
             raise ValueError(f"kept parts are not closed under column {found[0][0]!r}")
         dangling += found
         return None
-    sub, edits = _trusted(x.schema, card, columns), {}
-    for name in _makers(x):
+    sub, handed = _trusted(x.schema, card, columns), {}
+    for name, lists in {**x.index.handed, **x.index}.items():  # what x has made or been handed
         gen = x.schema.generator(name)
         col, gone, cod_moved = x.column[name], removed.get(gen.cod, ()), moved[gen.cod]
-        ends = ((p, col[p - 1]) for p in (*removed.get(gen.dom, ()), *moved[gen.dom]))
-        left = {p: cod_moved.get(t, t) for p, t in ends if t not in gone}
+        ends = (*removed.get(gen.dom, ()), *moved[gen.dom])
+        left = {p: cod_moved.get(t, t) for p in ends for t in [col[p - 1]] if t not in gone}
         joined = {slot: columns[name][slot - 1] for slot in moved[gen.dom].values()}
-        edits[name] = x.index[name].copy, card[gen.cod], cod_moved, left, joined  # x's made: no chain grows
-    return _hand_on(sub, edits), _adopt(sub, x, slots), moved
+        handed[name] = _patched(lists, card[gen.cod], cod_moved, left, joined)
+    sub.__dict__["index"] = _PreimageIndex(sub, handed)
+    return sub, _adopt(sub, x, slots), moved
 
 
 def _preimages(col: list[int], targets: set[int]) -> list[int]:
@@ -364,9 +373,8 @@ def _preimages(col: list[int], targets: set[int]) -> list[int]:
 def deletion_closure(x: CSetInstance, core: dict[str, set[int]]) -> dict[str, set[int]]:
     """The parts of x from which some path of columns reaches `core`.
 
-    One worklist: each part that enters the closure is expanded once,
-    through the preimage lists of the generators into its object, so
-    only generators into an object the closure reaches are indexed.
+    One worklist expands each part that enters the closure once, through
+    the lists of the generators into its object, the only ones indexed.
     Raises PartOutOfRangeError for a core part outside 1..card.
     """
     schema, index = x.schema, x.index
@@ -380,7 +388,7 @@ def deletion_closure(x: CSetInstance, core: dict[str, set[int]]) -> dict[str, se
         obj, part = work.pop()
         for gen in schema.incoming(obj):
             seen = closed[gen.dom]
-            for pre in index[gen.name][part - 1]:
+            for pre in index.lists(gen.name)[part - 1]:
                 if pre not in seen:
                     seen.add(pre)
                     work.append((gen.dom, pre))

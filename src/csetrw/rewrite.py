@@ -1,16 +1,13 @@
 """DPO, SPO and SqPO rewriting of C-set instances.
 
-A rule is a span L <-l- I -r-> R. DPO deletes exactly what the rule
-names and refuses otherwise; SPO cascades deletions to every part with
-a path of columns into a deleted part; SqPO copies context when l
-identifies parts, working only on the parts with a path into the match.
-Both find those parts with `instance.deletion_closure`. A step reads the
-host's preimage lists for the generators into what it deletes, and hands
-them on to K and the result, so a chain builds them once, on its first
-host. A monic r (in SPO, `j_to_r`) pushes R out by a compiled program
-(DPO, SqPO: `rhs_program`), no quotient.
-`Rule` checks its legs and a step its match, once: what the step builds
-from them is not checked.
+A rule is a span L <-l- I -r-> R. DPO deletes exactly what the rule names and refuses
+otherwise; SPO cascades deletions to every part with a path of columns into a deleted
+part; SqPO copies context when l identifies parts, working only on the parts with a path
+into the match. Both find those parts with `instance.deletion_closure`. Steps read the
+host's preimage lists and hand them on to K and the result, so a chain builds them once.
+A monic r (in SPO, `j_to_r`) pushes R out by a compiled program (DPO, SqPO:
+`rhs_program`), no quotient. `Rule` checks its legs and a step its match, once: what
+the step builds from them is not checked.
 """
 
 from __future__ import annotations

@@ -434,7 +434,7 @@ def _lists_from_column(x: CSetInstance, name: str) -> list[list[int]]:
 def _random_chain_rule(rng, schema, kind: str) -> Rule:
     """A rule for a chain: l monic, or for SqPO often not; r an injection that creates parts, any map, or 1."""
     lhs = random_instance(rng, schema, max_parts=2)
-    interface = random_instance(rng, schema, max_parts=2) if kind == SQPO and rng.random() < 0.6 else None
+    interface = random_instance(rng, schema, max_parts=3) if kind == SQPO and rng.random() < 0.6 else None
     ls = homomorphisms(interface, lhs) if interface else []
     if ls:
         l = rng.choice(ls)
@@ -454,36 +454,50 @@ def _random_chain_rule(rng, schema, kind: str) -> Rule:
 @pytest.mark.parametrize(
     "kind, cyclic", [(DPO, False), (SPO, False), (SQPO, False), (DPO, True), (SPO, True)]
 )
-def test_handed_on_preimage_lists_agree_with_their_columns(kind, cyclic):
-    """Every list a step hands on, and every host's, equals one read off its column."""
+def test_handed_on_preimage_lists_agree_with_their_columns(kind, cyclic, monkeypatch):
+    """Every list a step hands on, read as steps read it and made whole, and every host's, equals one read off its column."""
     rng = random.Random(f"handed-on:{kind}:{cyclic}")
-    handed = moved = 0
+    rebased, steps = [], []
+    whole = instance_module._Patched.whole
+    monkeypatch.setattr(instance_module._Patched, "whole", lambda lists: rebased.append(bool(steps)) or whole(lists))
+    handed = patched = moved = 0
     for _ in range(150):
         schema = random_cyclic_schema(rng) if cyclic else random_acyclic_schema(rng)
-        rule, host = _random_chain_rule(rng, schema, kind), random_instance(rng, schema, max_parts=4)
+        rule, host = _random_chain_rule(rng, schema, kind), random_instance(rng, schema, max_parts=6 if kind == SQPO else 4)
         for gen in schema.generators:
             if rng.random() < 0.7:
                 host.index[gen.name]
         seen = [host]
-        for _ in range(4):
-            matches = homomorphisms(rule.lhs, host, SearchOptions(monic=kind == SQPO))
+        for _ in range(6):
+            # searched on a copy, so that the host's handed lists are not made whole before the step
+            matches = homomorphisms(rule.lhs, CSetInstance(schema, host.card, host.column), SearchOptions(monic=kind == SQPO))
             rng.shuffle(matches)
             for match in matches:
                 try:
-                    out = rewrite(rule, match)
+                    steps.append(1)  # a rebase while the step runs counts
+                    out = rewrite(rule, Transformation(rule.lhs, host, match.comp))
                     break
                 except ComplementViolationsError:
                     continue
+                finally:
+                    steps.pop()
             else:
                 break
-            handed += len(instance_module._makers(out.k)) + len(instance_module._makers(out.result))
             moved += any(out.maps["k_to_g"].comp[o] != list(range(1, out.k.card[o] + 1)) for o in schema.objects)
+            for x in (out.k, out.result):
+                handed += len(x.index.handed)
+                patched += sum(map(len, x.index.handed.values()))
             seen += [out.k, out.result] + [x for t in out.maps.values() for x in (t.dom, t.cod)]
             for x in seen:
-                for name in instance_module._makers(x):
-                    assert x.index[name] == _lists_from_column(x, name), (x, name)
+                for name, lists in {**x.index.handed, **x.index}.items():
+                    fresh = _lists_from_column(x, name)
+                    assert [lists[t] for t in range(len(fresh))] == fresh, (x, name)
             host = out.result
-    assert handed > 300 and moved >= 5, (handed, moved)
+        for x in seen:
+            for name in {**x.index.handed, **x.index}:
+                assert x.index[name] == _lists_from_column(x, name), (x, name)
+    rebased = sum(rebased)
+    assert handed > 300 and patched > 300 and moved >= 5 and rebased > 30, (handed, patched, moved, rebased)
 
 
 def test_sqpo_requires_monic_match(graph):
