@@ -22,7 +22,6 @@ from .errors import (
     NotMonicError,
     ParseError,
     TypingMismatchError,
-    UnknownReferenceError,
 )
 from .jsonio import (
     Workspace,
@@ -248,9 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except (ParseError, UnknownReferenceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_PARSE
     except ComplementViolationsError as exc:
         print("rewrite refused:", file=sys.stderr)
         for v in exc.violations:
@@ -267,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_VIOLATIONS
-    except (ValueError, IndexError, KeyError) as exc:
+    except (ValueError, IndexError, KeyError, OSError) as exc:  # ParseError, UnknownReferenceError among them
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PARSE
     if argv is None:

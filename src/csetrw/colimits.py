@@ -1,25 +1,24 @@
 """Componentwise (co)limits of C-set instances.
 
 Everything here reduces to finite-set constructions applied one object at
-a time. Pushouts, coproducts and diagram colimits share one quotient of a
-disjoint union by union-find: summands stack in order (C before B for a
-pushout of B <- A -> C; diagram nodes in declaration order) and classes
-are numbered by their smallest part. Python-level work there is one step
-per glued pair and one per node: an inline union-find with path halving
-over one flat list of slots, class ids laid down as runs between the
-slots that stopped being roots, and columns pushed down per summand with
-`map` and stripped of merged slots by one `compress`. Where no slot of
-the first summand is merged, its parts keep their ids and its columns are
-copied, so a pushout along a monic f keeps C's numbering, appends B's
-unglued parts and costs C one list copy per column; `_pushout` builds it
-with no quotient from `_append_program(f)`, handed C's preimage lists.
-Each output list is built once and kept as it is.
+a time. A pushout along a monic f: A -> B is C, then B∖f(A) in B's order:
+`_pushout` builds it with no quotient from `f.append_program`, compiled
+once per map and kept on it, and hands the apex C's preimage lists.
+Every other pushout, coproducts and diagram colimits share one quotient
+of a disjoint union by union-find: summands stack in order (C before B
+for a pushout of B <- A -> C; diagram nodes in declaration order) and
+classes are numbered by their smallest part, so both paths number alike.
+Python-level work there is one step per glued pair and one per node: an
+inline union-find with path halving over one flat list of slots, class
+ids laid down as runs between the slots that stopped being roots, and
+every summand's columns pushed down with `map` and stripped of merged
+slots by one `compress`. Each output list is built once and kept as it is.
 Pullbacks join agreeing pairs through a hash of the second leg's
 preimages. `pushout`, `pullback` and `final_pullback_complement` check
 that their input maps are natural, so columns descend and every output
 is built with `_trusted`, unchecked. A rewrite step checks its match
-once and calls `_final_pullback_complement` and `_pushout`, with the
-rule's compiled program when r is monic; they check nothing.
+once and calls `_final_pullback_complement` and `_pushout`, which check
+nothing; a rule's monic r keeps its program across steps.
 
 The partial map classifier T(X) is built sinks first, with no search.
 χ, the map classifying a partial map into X, is one more pass in that
@@ -93,11 +92,8 @@ def _quotient(
     k + 1 itself, so an arrow's components glue each part of i to its
     image in j. Parts stack in summand order as slots 1..n and classes are
     numbered densely by their smallest slot. Returns the apex and, per
-    summand, the class of each of its parts.
-
-    When no slot of the first summand is merged at an object, its parts
-    keep their ids there, and its column for a generator between two such
-    objects is copied, not looked up entry by entry.
+    summand, the class of each of its parts. Every summand's columns go
+    through its lookups; a pushout along a monic leg never comes here.
     """
     schema = summands[0].schema
     if list(map(attrgetter("schema"), summands)).count(schema) != len(summands):  # tries `is` first
@@ -107,7 +103,6 @@ def _quotient(
     legs_by_obj: list[list[list[int]]] = []  # per object, each summand's leg
     lookups: dict[str, list] = {}  # per codomain object, each summand's part -> class
     roots: dict[str, bytearray | None] = {}  # per object, which stacked slots are roots
-    kept_first: dict[str, bool] = {}  # per object, whether the first summand keeps its ids
     for obj in schema.objects:
         # summand k holds slots starts[k] + 1 .. starts[k + 1]
         starts = list(accumulate(map(itemgetter(obj), cards), initial=0))
@@ -145,7 +140,6 @@ def _quotient(
             kept[s - 1] = 0
         ids += base[len(ids) - len(merged) : n + 1 - len(merged)]
         card[obj], roots[obj] = n - len(merged), kept if merged else None
-        kept_first[obj] = not merged or merged[0] > starts[1]
         firsts = list(map((1).__add__, starts))
         legs_by_obj.append(list(map(ids.__getitem__, map(slice, firsts, firsts[1:]))))
         if schema.incoming(obj):  # lookup k sends part p to ids[starts[k] + p]
@@ -154,18 +148,10 @@ def _quotient(
     columns: dict[str, list[int]] = {}
     summand_columns = [x.column for x in summands]
     for gen in schema.generators:
-        first, *cols = map(itemgetter(gen.name), summand_columns)
-        lookup, mask = lookups[gen.cod], roots[gen.dom]
-        pushed = chain.from_iterable(map(map, lookup[1:], cols))
-        if kept_first[gen.dom] and kept_first[gen.cod]:
-            # the first summand's entries keep their places and values
-            out = first[:]
-            out += pushed if mask is None else compress(pushed, mask[len(first) :])
-        else:
-            pushed = chain(map(lookup[0], first), pushed)
-            # the inputs are natural, so a merged slot's image is its root's
-            out = list(pushed if mask is None else compress(pushed, mask))
-        columns[gen.name] = out
+        mask = roots[gen.dom]
+        pushed = chain.from_iterable(map(map, lookups[gen.cod], map(itemgetter(gen.name), summand_columns)))
+        # the inputs are natural, so a merged slot's image is its root's
+        columns[gen.name] = list(pushed if mask is None else compress(pushed, mask))
     # zipped with the summands too, so that a schema with no objects gives a leg each
     legs = [dict(zip(schema.objects, comps)) for comps in zip(*legs_by_obj, summands)]
     return _trusted(schema, card, columns), legs
@@ -177,7 +163,7 @@ def pushout(f: Transformation, g: Transformation) -> PushoutResult:
     The apex quotients C + B by f(a) ~ g(a); apex parts are numbered
     densely by the smallest member of their class, C's parts first. So
     when f is monic, no two parts of C meet: C's parts keep their ids,
-    its columns are copied, and B's unglued parts are appended in order.
+    and B's unglued parts are appended in order by `f.append_program`.
     """
     if f.dom != g.dom:
         raise ValueError("pushout requires a shared domain")
@@ -186,12 +172,12 @@ def pushout(f: Transformation, g: Transformation) -> PushoutResult:
     return _pushout(f, g)
 
 
-def _pushout(f: Transformation, g: Transformation, program: tuple[dict, dict] | None = None) -> PushoutResult:
-    """`pushout` of natural maps with a shared domain, unchecked; no quotient given `_append_program(f)`."""
-    if program is None:
+def _pushout(f: Transformation, g: Transformation) -> PushoutResult:
+    """`pushout` of natural maps with a shared domain, unchecked; along a monic f, `f.append_program`, no quotient."""
+    if f.append_program is None:
         apex, (comp_c, comp_b) = _quotient([g.cod, f.cod], [(1, 0, f.comp, g.comp)])
         return PushoutResult(apex, _adopt(f.cod, apex, comp_b), _adopt(g.cod, apex, comp_c), f, g)
-    (where, entries), c = program, g.cod
+    (where, entries), c = f.append_program, g.cod
     card, ids, leg_c = {}, {}, {}
     for obj, at in where.items():
         n, card[obj] = c.card[obj], c.card[obj] + len(at) - len(g.comp[obj])
@@ -209,7 +195,7 @@ def _pushout(f: Transformation, g: Transformation, program: tuple[dict, dict] | 
 
 
 def _append_program(f: Transformation) -> tuple[dict, dict] | None:
-    """`_pushout(f, -)` compiled once for a monic f, else None: the apex is C, then B∖f(A) in order.
+    """`_pushout(f, -)` compiled for a monic f, else None: the apex is C, then B∖f(A) in order.
 
     A table of ids per object holds g's image of each A-part, then the
     appended parts; the program indexes it per B-part and appended entry.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, filterfalse
+from itertools import accumulate, filterfalse
 
 from .errors import InvalidInstanceError, PartOutOfRangeError
 from .schema import SchemaPath, SchemaPresentation, graph_schema
@@ -365,11 +365,6 @@ def _restrict_removing(x: CSetInstance, removed: dict[str, set[int]], dangling: 
     return sub, _adopt(sub, x, slots), moved
 
 
-def _preimages(col: list[int], targets: set[int]) -> list[int]:
-    """Ascending 0-based positions of `col` whose entry is in `targets`, in one C-level pass."""
-    return [] if targets.isdisjoint(col) else list(compress(range(len(col)), map(targets.__contains__, col)))
-
-
 def deletion_closure(x: CSetInstance, core: dict[str, set[int]]) -> dict[str, set[int]]:
     """The parts of x from which some path of columns reaches `core`.
 
@@ -504,10 +499,12 @@ def check_discrete_opfibration(t: TypedGraph):
     violations: list = []
     for gen in schema.generators:
         col = columns[gen.name]
-        for i in _preimages(col, {0, -1}):
-            v = by_type[gen.dom][i]
-            violations.append(MultipleEdges(gen.name, v) if col[i] else MissingEdge(gen.name, v))
-            col[i] = 0
+        if col and min(col) < 1:  # only a column with a defect is walked
+            for i, w in enumerate(col):
+                if w < 1:
+                    v = by_type[gen.dom][i]
+                    violations.append(MultipleEdges(gen.name, v) if w else MissingEdge(gen.name, v))
+                    col[i] = 0
     card = {obj: len(vs) for obj, vs in by_type.items()}
     x, shifted = CSetInstance(schema, card, columns), {}  # may hold 0s, so not `_trusted`
     for eq_idx, (lhs, rhs) in enumerate(schema.equations):

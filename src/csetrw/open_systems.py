@@ -252,7 +252,7 @@ def compose_cospans(a: StructuredCospan, b: StructuredCospan) -> StructuredCospa
     """Glue two open systems along their shared foot by pushout."""
     if a.foot_out != b.foot_in:
         raise FootMismatchError("output foot of the first cospan must equal the input foot of the second")
-    # a's apex stacks first, so it is copied when b's input leg is monic
+    # a's apex stacks first, so it keeps its ids when b's input leg is monic
     po = pushout(b.in_leg, a.out_leg)
     return StructuredCospan(a.in_leg.compose(po.leg_c), b.out_leg.compose(po.leg_b))
 

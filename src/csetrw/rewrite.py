@@ -5,17 +5,16 @@ otherwise; SPO cascades deletions to every part with a path of columns into a de
 part; SqPO copies context when l identifies parts, working only on the parts with a path
 into the match. Both find those parts with `instance.deletion_closure`. Steps read the
 host's preimage lists and hand them on to K and the result, so a chain builds them once.
-A monic r (in SPO, `j_to_r`) pushes R out by a compiled program (DPO, SqPO:
-`rhs_program`), no quotient. `Rule` checks its legs and a step its match, once: what
-the step builds from them is not checked.
+A monic r (in SPO, `j_to_r`) pushes R out by its `append_program`, no quotient; a rule's
+r builds that program once, SPO's `j_to_r` once per step. `Rule` checks its legs and a
+step its match, once: what the step builds from them is not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
-from .colimits import _append_program, _final_pullback_complement, _into_restriction, _pushout, pushout_complement
+from .colimits import _final_pullback_complement, _into_restriction, _pushout, pushout_complement
 from .errors import ComplementViolationsError, MatchNotNaturalError, NotMonicError
 from .instance import CSetInstance, _restrict_removing, deletion_closure
 from .search import SearchOptions, homomorphisms
@@ -40,11 +39,6 @@ class Rule:
             raise ValueError("rule legs must share their interface instance")
         if is_natural(self.l) or is_natural(self.r):
             raise ValueError("rule legs must be natural transformations")
-
-    @cached_property
-    def rhs_program(self) -> tuple[dict, dict] | None:
-        """The second square of DPO and SqPO compiled once: `_append_program(r)`, None unless r is monic."""
-        return _append_program(self.r)
 
     @property
     def lhs(self) -> CSetInstance:
@@ -79,9 +73,9 @@ def _push_out_rhs(
 ) -> RewriteOutcome:
     """The second square of DPO and SqPO: push R out along I -> K.
 
-    K's parts keep their ids when r is monic; the rule's `rhs_program` appends the new parts.
+    K's parts keep their ids when r is monic; `rule.r.append_program` appends the new parts.
     """
-    po = _pushout(rule.r, i_to_k, rule.rhs_program)
+    po = _pushout(rule.r, i_to_k)
     return RewriteOutcome(
         result=po.apex,
         k=i_to_k.cod,
@@ -144,7 +138,7 @@ def rewrite_spo(rule: Rule, match: Transformation) -> RewriteOutcome:
     _, j_to_i, _ = _restrict_removing(rule.interface, dead_i)
     j_to_r = _into_restriction(j_to_i.compose(rule.r), r_kept, r_moved)
     j_to_k = _into_restriction(j_to_i.compose(l_match), k_to_g, moved)
-    po = _pushout(j_to_r, j_to_k, _append_program(j_to_r))  # no quotient when j_to_r is monic
+    po = _pushout(j_to_r, j_to_k)
     return RewriteOutcome(
         result=po.apex,
         k=k,

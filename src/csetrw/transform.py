@@ -32,6 +32,13 @@ class Transformation:
         return classifier_map(self.dom.classifier, self.cod.classifier, self)
 
     @cached_property
+    def append_program(self) -> tuple[dict, dict] | None:
+        """`colimits._append_program(self)`, the pushout along self compiled; None unless monic, kept like T(self)."""
+        from .colimits import _append_program
+
+        return _append_program(self)
+
+    @cached_property
     def classifier_fibres(self) -> dict[str, dict[int, list[int]]]:
         """Per object, the ascending T(dom)-parts over each T(cod)-part under T(self), kept like it."""
         fibres: dict[str, dict[int, list[int]]] = {obj: {} for obj in self.dom.schema.objects}
@@ -135,10 +142,13 @@ def is_natural(t: Transformation) -> list[NaturalityViolation]:
         raise ValueError("domain and codomain instances live on different schemas")
     _check_components(t)
     out: list[NaturalityViolation] = []
+    comp, dom_column, cod_column = t.comp, t.dom.column, t.cod.column
     for gen in t.dom.schema.generators:
-        for part in t.dom.parts(gen.dom):
-            expected = t.comp[gen.cod][t.dom.apply(gen.name, part) - 1]
-            actual = t.cod.apply(gen.name, t.comp[gen.dom][part - 1])
-            if expected != actual:
-                out.append(NaturalityViolation(gen.name, part, expected, actual))
+        if not comp[gen.dom]:
+            continue
+        # both sides of the squares as columns over the domain's parts; only a generator with a failing square is walked
+        at, col = comp[gen.cod], cod_column[gen.name]
+        expected, actual = [at[v - 1] for v in dom_column[gen.name]], [col[v - 1] for v in comp[gen.dom]]
+        if expected != actual:
+            out += (NaturalityViolation(gen.name, p, e, a) for p, (e, a) in enumerate(zip(expected, actual), 1) if e != a)
     return out

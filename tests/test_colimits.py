@@ -59,6 +59,20 @@ def test_pushout_along_identity(graph, small_graph):
     assert is_isomorphic(po.apex, small_graph) is not None
 
 
+def test_pushout_along_a_monic_f_appends_b_to_c(graph):
+    # B and C are edges; f picks B's target, g C's source
+    a = make_instance(graph, {"V": 1}, {})
+    edge = make_instance(graph, {"V": 2, "E": 1}, {"src": [1], "tgt": [2]})
+    f, g = Transformation(a, edge, {"V": [2]}), Transformation(a, edge, {"V": [1]})
+    po = pushout(f, g)
+    # C's parts keep their ids; B's source and edge come after them
+    assert (po.apex.card, po.apex.column) == ({"V": 3, "E": 2}, {"src": [1, 3], "tgt": [2, 1]})
+    assert (po.leg_c.comp, po.leg_b.comp) == ({"V": [1, 2], "E": [1]}, {"V": [3, 1], "E": [2]})
+    assert f.append_program is not None and f.append_program is f.append_program
+    apex, legs = _quotient([edge, edge], [(1, 0, f.comp, g.comp)])
+    assert (apex.card, apex.column, legs) == (po.apex.card, po.apex.column, [po.leg_c.comp, po.leg_b.comp])
+
+
 def test_pushout_of_empty_is_coproduct(graph, small_graph):
     e = empty_instance(graph)
     po = pushout(Transformation(e, small_graph, {}), Transformation(e, small_graph, {}))
@@ -600,9 +614,9 @@ def test_quotient_agrees_with_plain_union_find():
 
 
 def test_pushout_copy_path_agrees_with_mapping_path():
-    """A pushout copies C's columns when no part of C merges; plain_quotient
-    pushes every entry. A non-monic f can merge parts of C, and then the
-    copy must not happen."""
+    """A pushout along a monic f runs `f.append_program` and keeps C's ids;
+    plain_quotient pushes every entry. A non-monic f can merge parts of C,
+    and then the pushout is a quotient."""
     rng = random.Random(47)
     seen = {"monic f": 0, "parts of C merge": 0}
     for _ in range(300):

@@ -17,7 +17,6 @@ from csetrw.instance import (
     MissingEdge,
     MultipleEdges,
     TypedGraph,
-    _preimages,
     check_discrete_opfibration,
     elements,
     empty_instance,
@@ -97,6 +96,16 @@ def test_elements_counts(small_graph, two_triangles):
     el2 = elements(two_triangles)
     # 11 parts; each edge contributes 2 element edges, each triangle 3
     assert el2.graph.card == {"V": 11, "E": 16}
+
+
+def test_typed_graph_names_each_vertex_and_edge_type(small_graph):
+    el = elements(small_graph)
+    # the V-parts come first, then the E-parts; every src edge, then every tgt edge
+    assert [el.vertex_type(v) for v in el.graph.parts("V")] == ["V"] * 3 + ["E"] * 3
+    assert [el.edge_type(e) for e in el.graph.parts("E")] == ["src"] * 3 + ["tgt"] * 3
+    for e in el.graph.parts("E"):
+        gen = small_graph.schema.generator(el.edge_type(e))
+        assert (el.vertex_type(el.graph.apply("src", e)), el.vertex_type(el.graph.apply("tgt", e))) == (gen.dom, gen.cod)
 
 
 def test_elements_roundtrip(small_graph, two_triangles):
@@ -185,22 +194,6 @@ def test_opfibration_refuses_an_out_of_range_typing(graph):
     typing = _adopt(tg.graph, tg.typing.cod, {"V": [3] + tg.typing.comp["V"][1:], "E": tg.typing.comp["E"]})
     with pytest.raises(ValueError, match="sends 1 outside 1..2"):
         check_discrete_opfibration(TypedGraph(tg.graph, typing, graph))
-
-
-def test_preimages_agrees_with_a_scan_randomized():
-    # target sets of 0 to 8 values, with values absent from the column,
-    # repeated entries and hits at the first and last positions
-    rng = random.Random(71)
-    ends = 0
-    for size in range(9):
-        for _ in range(40):
-            col = [rng.randint(1, 9) for _ in range(rng.randint(0, 30))]
-            targets = set(rng.sample(range(12), size))
-            if col and targets and rng.random() < 0.5:
-                col[0], col[-1] = min(targets), max(targets)
-                ends += 1
-            assert _preimages(col, targets) == [i for i, v in enumerate(col) if v in targets]
-    assert ends > 100
 
 
 def test_validate_instance_invariant_under_renumbering(small_graph):

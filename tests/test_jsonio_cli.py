@@ -162,6 +162,13 @@ def test_cli_validate_unknown_reference(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+def test_cli_missing_input_file_exits_2(tmp_path, capsys):
+    code = main(["validate", str(tmp_path / "absent.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "absent.json" in err
+
+
 def test_cli_homs_count(capsys):
     code = main(
         [

@@ -31,6 +31,7 @@ from csetrw.open_systems import (
     slice_to_cset,
 )
 from csetrw.rewrite import DPO, KINDS, SPO, SQPO, Rule, rewrite, rewrite_dpo
+from csetrw.schema import Generator, SchemaPresentation
 from csetrw.search import SearchOptions, homomorphisms, is_isomorphic
 from csetrw.transform import Transformation, identity, is_natural
 
@@ -63,6 +64,24 @@ def test_slice_schema_over_terminal_is_base(graph):
 def test_slice_schema_empty(graph):
     schema = slice_schema(empty_instance(graph))
     assert schema.objects == [] and schema.generators == []
+
+
+def test_slice_schema_separates_colliding_element_names():
+    # part 11 of V and part 1 of V1 would both be named V11
+    schema = SchemaPresentation(["V", "V1"], [Generator("f", "V1", "V")], [])
+    base = make_instance(schema, {"V": 11, "V1": 1}, {"f": [3]})
+    elements = slice_schema(base)
+    assert elements.objects == [f"V#{p}" for p in range(1, 12)] + ["V1#1"]
+    assert [(g.name, g.dom, g.cod) for g in elements.generators] == [("f#1", "V1#1", "V#3")]
+    total = make_instance(schema, {"V": 12, "V1": 2}, {"f": [3, 12]})
+    s = SliceInstance(Transformation(total, base, {"V": [*range(1, 12), 3], "V1": [1, 1]}))
+    migrated = slice_to_cset(s)
+    assert migrated.schema == elements
+    assert (migrated.instance.card["V#3"], migrated.instance.card["V1#1"]) == (2, 2)
+    assert migrated.instance.column["f#1"] == [1, 2]
+    back = cset_to_slice(migrated.instance, base)
+    assert is_isomorphic(back.total, total) is not None
+    assert slice_to_cset(back).instance == migrated.instance
 
 
 def test_slice_schema_inherits_equations(d2, triangle):

@@ -14,6 +14,7 @@ from csetrw.colimits import (
     Classifier,
     _into_restriction,
     _pushout,
+    _quotient,
     check_pushout_complement,
     coproduct,
     final_pullback_complement,
@@ -687,10 +688,11 @@ def test_compiled_rhs_equals_the_pushout_randomized():
         homs = brute_homs(interface, random_instance(rng, schema, max_parts=3))
         if not homs:
             continue
-        rule = Rule(identity(interface), r)
-        assert rule.rhs_program is not None and rule.rhs_program is rule.rhs_program
+        assert r.append_program is not None and r.append_program is r.append_program
         i_to_k = rng.choice(homs)
-        assert _pushout_record(_pushout(r, i_to_k, rule.rhs_program)) == _pushout_record(_pushout(r, i_to_k))
+        # the general path: the quotient of K + R by r(i) ~ i_to_k(i)
+        apex, (comp_k, comp_r) = _quotient([i_to_k.cod, r.cod], [(1, 0, r.comp, i_to_k.comp)])
+        assert _pushout_record(_pushout(r, i_to_k)) == json.dumps([apex.card, apex.column, comp_r, comp_k])
         seen[kind] += 1
         seen["cyclic"] += cyclic
         image = {o: set(r.comp[o]) for o in schema.objects}
@@ -705,7 +707,7 @@ def test_rule_compiles_no_program_for_a_non_monic_r(graph):
     single = make_instance(graph, {"V": 1}, {})
     double = make_instance(graph, {"V": 2}, {})
     rule = Rule(identity(double), Transformation(double, single, {"V": [1, 1]}))
-    assert rule.rhs_program is None
+    assert rule.r.append_program is None
     out = rewrite(rule, identity(double))
     assert out.result.card == {"V": 1, "E": 0}
 

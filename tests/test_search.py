@@ -44,6 +44,25 @@ def test_is_natural_detects_mismatch(small_graph):
     assert any(v.part == 1 for v in violations)
 
 
+def test_is_natural_agrees_with_a_walk_of_every_square_randomized():
+    # random components, natural or not, over acyclic and cyclic schemas
+    rng = random.Random(29)
+    failing = 0
+    for _ in range(200):
+        schema = random_cyclic_schema(rng) if rng.random() < 0.5 else random_acyclic_schema(rng)
+        x, y = random_instance(rng, schema), random_instance(rng, schema, min_parts=1)
+        t = Transformation(x, y, {o: [rng.randint(1, y.card[o]) for _ in x.parts(o)] for o in schema.objects})
+        walk = [
+            (gen.name, p, t.comp[gen.cod][x.apply(gen.name, p) - 1], y.apply(gen.name, t.comp[gen.dom][p - 1]))
+            for gen in schema.generators
+            for p in x.parts(gen.dom)
+        ]
+        expected = [square for square in walk if square[2] != square[3]]
+        assert [(v.generator, v.part, v.expected, v.actual) for v in is_natural(t)] == expected
+        failing += bool(expected)
+    assert failing > 50
+
+
 def test_transformation_refuses_components_of_the_wrong_length_or_range(small_graph):
     with pytest.raises(ValueError, match="component for 'V' has wrong length"):
         Transformation(small_graph, small_graph, {"V": [1]})
