@@ -8,6 +8,7 @@ errors and other bad input.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 from pathlib import Path
 
@@ -176,7 +177,9 @@ def cmd_gen_mesh(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = bench_mod.run_bench(args.task, bench_mod.parse_sizes(args.sizes), args.kind)
-    if args.output:
+    if args.json:
+        _write(dumps({"python": platform.python_version(), "platform": platform.platform(), "rows": rows}), args.output)
+    elif args.output:
         with open(args.output, "w", newline="") as fh:
             bench_mod.write_csv(rows, fh)
     else:
@@ -234,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_mesh)
 
-    p = sub.add_parser("bench", help="run the mesh benchmarks, emitting CSV")
+    p = sub.add_parser("bench", help="run the mesh benchmarks, emitting CSV or JSON")
     p.add_argument("--task", choices=bench_mod.TASKS, default="homsearch")
     p.add_argument("--kind", choices=KINDS, default=DPO, help="flip rule semantics for rewrite and step")
     p.add_argument("--sizes", default="", help='comma separated, e.g. "2x2,2x3"')
+    p.add_argument("--json", action="store_true", help="print the rows as JSON, with the Python version and platform")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bench)
     return parser

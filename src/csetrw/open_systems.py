@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .colimits import Diagram, cocone_induced, diagram_colimit, pushout
+from .colimits import Diagram, _pushout, cocone_induced, diagram_colimit
 from .errors import (
     CommutativityFailureError,
     ComplementViolationsError,
@@ -252,8 +252,8 @@ def compose_cospans(a: StructuredCospan, b: StructuredCospan) -> StructuredCospa
     """Glue two open systems along their shared foot by pushout."""
     if a.foot_out != b.foot_in:
         raise FootMismatchError("output foot of the first cospan must equal the input foot of the second")
-    # a's apex stacks first, so it keeps its ids when b's input leg is monic
-    po = pushout(b.in_leg, a.out_leg)
+    # a's apex stacks first, so it keeps its ids when b's input leg is monic; both legs were checked when built
+    po = _pushout(b.in_leg, a.out_leg)
     return StructuredCospan(a.in_leg.compose(po.leg_c), b.out_leg.compose(po.leg_b))
 
 

@@ -16,25 +16,29 @@ results are sorted, so the result list does not depend on the order;
 `limit` keeps the first matches found in it, then sorts them. With the
 order fixed, so is what each step forces and checks: a plan is compiled
 once per pattern and pin-key tuple (the pinned (object, part) pairs, not
-their values) and kept on the pattern. Its steps are cut into chunks,
-each generated once per shape as a Python loop nest (GrGen's search
-plans written out as code) whose source holds only integers and fixed
-names; they run nested on an explicit stack, not by recursion.
+their values) and kept on the pattern, at most `_PLANS` of them. Its
+steps are cut into chunks, each generated once per shape as a Python
+loop nest (GrGen's search plans written out as code) whose source holds
+only integers and fixed names. A search runs them nested on an explicit
+stack, on the host's columns, preimage lists and part counts, the pin
+values and used marks as they are; the last yields finished matches.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import accumulate, chain, islice
+from functools import lru_cache
+from itertools import accumulate, chain, groupby, islice
+from operator import itemgetter
 
 from .errors import PartOutOfRangeError
 from .instance import CSetInstance
-from .transform import Transformation, _adopt
+from .transform import Transformation
 
 
 _CHUNK = 8  # steps per generated function: its nested loops stay under CPython's 20 static blocks
+_PLANS = 16  # plans kept per pattern
 
 
 @dataclass
@@ -75,7 +79,7 @@ def _compile(x: CSetInstance, keys: tuple[tuple[str, int], ...]) -> tuple:
 
     A slot per pattern part, each object's in a run between `bounds`. A
     step assigns a part: it tries the host preimages of an assigned
-    target (kind 1), all host parts (2) or a pin's value (3), writes the
+    target (kind 1), every host part (2, by count) or a pin's value (3), writes the
     value and the parts that forces, and checks the assigned parts its
     candidates do not imply. A part an earlier pin forced only has the
     value checked. Each `_CHUNK` steps make a chunk: its shape (`_function`),
@@ -89,8 +93,8 @@ def _compile(x: CSetInstance, keys: tuple[tuple[str, int], ...]) -> tuple:
     chunks: list[tuple] = []
     local, hosts, marks, shape = {}, {}, {}, []  # the open chunk's: slot -> local (by first use), ...
 
-    def close(*layout: int) -> None:  # a shape starts: host and mark counts, whole-plan flag, layout
-        chunks.append(((len(hosts), len(marks), *layout, *shape), tuple(local), tuple(hosts), tuple(marks)))
+    def close(*layout: int) -> None:  # a shape, one string (its hash is kept): host and mark counts, last flag, layout
+        chunks.append((" ".join(map(str, (len(hosts), len(marks), *layout, *shape))), tuple(local), tuple(hosts), tuple(marks)))
 
     pinned = ((obj, part, (3, pin)) for pin, (obj, part) in enumerate(keys))
     branched = ((obj, part, None) for obj, part in _branch_order(x) if not known[offset[obj] + part - 1])
@@ -99,10 +103,10 @@ def _compile(x: CSetInstance, keys: tuple[tuple[str, int], ...]) -> tuple:
         if steps and steps % _CHUNK == 0:
             close(0)
             local, hosts, marks, shape = {}, {}, {}, []
-        if known[slot]:  # a step is (candidates, narrowing local or -1, op count, ops)
+        if known[slot]:  # a step is (candidates, narrowing local or -1 a pin or -2 every part, op count, ops)
             shape += (hosts.setdefault(pin, len(hosts)), -1, 1, 0, -1, -1, local.setdefault(slot, len(local)))
             continue
-        target, candidates, narrowed = -1, pin or (2, obj), None
+        target, candidates, narrowed = -1 if pin else -2, pin or (2, obj), None
         for g in () if pin else schema.outgoing(obj):
             d = offset[g.cod] + column[g.name][part - 1] - 1
             if known[d]:
@@ -125,26 +129,32 @@ def _compile(x: CSetInstance, keys: tuple[tuple[str, int], ...]) -> tuple:
                     known[d], local[d] = True, len(local)
                     queue.append((g.cod, q, d))
         shape += (hosts.setdefault(candidates, len(hosts)), target, len(ops) // 4, *ops)
-    if chunks:  # the last of several chunks stores its slots too
-        close(0)
-    else:  # a whole plan in one chunk yields its locals, by object
-        close(1, len(objects), *chain.from_iterable(
-            (end - start, *map(local.get, range(start, end))) for start, end in zip(bounds, bounds[1:])))
+    # the last chunk lists each object's slots: its own local r, or -1 - slot for one an earlier chunk stored
+    close(1, len(objects), *chain.from_iterable(
+        (end - start, *(local.get(k, -1 - k) for k in range(start, end))) for start, end in zip(bounds, bounds[1:])))
     return bounds, chunks
 
 
 @lru_cache(maxsize=1024)
-def _function(shape: tuple, monic: bool):
+def _function(shape: str, monic: bool):
     """The generator function `chunk(a, s, h0.., m0..)` of an all-integer chunk shape, compiled once.
 
     A `for` per step, each write a local (`l4 = h3[l1 - 1]`), one `if ...
     or ...: continue` on the checks and, under monic, the used marks and
     equal writes of one object; marks set after it, cleared after the
     inner loop. Local r is loaded from and stored in the slot list as a[s[r]].
+    The last chunk also takes `new, T, x, y, o0..` and yields each match as its slots,
+    then its map made as `_adopt` makes one, on a dict display keyed by the names o0...
     """
-    it = iter(shape)
-    n_hosts, n_marks, whole = next(it), next(it), next(it)
-    runs = [[f"l{next(it)}" for _ in range(next(it))] for _ in range(next(it))] if whole else []
+
+    def shown(run: list[int]) -> Iterator[str]:  # an object's slots: local r as lr, a stretch stored before as a slice
+        for own, group in groupby(run, (0).__le__):
+            stretch = list(group)
+            yield from (f"l{r}" for r in stretch) if own else [f"*a[{-1 - stretch[0]}:{-stretch[-1]}]"]
+
+    it = map(int, shape.split())
+    n_hosts, n_marks, last = next(it), next(it), next(it)
+    runs = [list(shown([next(it) for _ in range(next(it))])) for _ in range(next(it))] if last else []
     head, body, clears, stored, pad = [], [], [], [], "    "
 
     def ref(r: int) -> str:  # a local, loaded on first use
@@ -153,7 +163,7 @@ def _function(shape: tuple, monic: bool):
         return f"l{r}"
 
     for cand in it:
-        source = f"h{cand}" if (at := next(it)) < 0 else f"h{cand}[{ref(at)} - 1]"
+        source = f"h{cand}" if (at := next(it)) == -1 else f"range(1, h{cand} + 1)" if at == -2 else f"h{cand}[{ref(at)} - 1]"
         new, code, tests, same = [], [], [], {}
         for _ in range(next(it)):
             write, src, col, x = next(it), next(it), next(it), next(it)
@@ -175,25 +185,28 @@ def _function(shape: tuple, monic: bool):
         if monic and new:
             body.append(f"{pad}{' = '.join(new)} = True")
             clears.append(f"{pad}{' = '.join(new)} = False")
-    if whole:
-        body.append(pad + "yield (" + "".join("[" + ", ".join(run) + "], " for run in runs) + ")")
+    if last:  # the map, a list display per object, and the match's slots flat, so that matches sort by them
+        body += [pad + "t = new(T); t.dom, t.cod, t.comp = x, y, {" + ", ".join(f"o{i}: [{', '.join(run)}]" for i, run in enumerate(runs)) + "}",
+                 pad + "yield (" + "".join(e + ", " for e in chain.from_iterable(runs)) + "t,)"]
     else:
         body += [f"{pad}a[s[{name[1:]}]] = {name}" for name in stored] + [pad + "yield"]
-    params = ["a", "s", *(f"h{i}" for i in range(n_hosts)), *(f"m{i}" for i in range(n_marks if monic else 0))]
-    space = {"__builtins__": {"len": len}}  # the source holds integers and fixed names only
+    params = ["a", "s", *(f"h{i}" for i in range(n_hosts)), *(f"m{i}" for i in range(n_marks if monic else 0)),
+              *(["new", "T", "x", "y"] if last else []), *(f"o{i}" for i in range(len(runs)))]
+    space = {"__builtins__": {"len": len, "range": range}}  # the source holds integers and fixed names only
     exec("\n".join([f"def chunk({', '.join(params)}):", *head, *body, *reversed(clears)]), space)
     return space["chunk"]
 
 
-def _nest(chunks: list) -> Iterator[None]:
-    """Run each chunk inside the one before, on an explicit stack; yield at each match of the last."""
-    stack = [chunks[0]()]
+def _nest(calls: list[tuple]) -> Iterator[tuple]:
+    """Run each chunk (function, arguments...) inside the one before, on an explicit stack; yield what the last yields."""
+    stack = [calls[0][0](*calls[0][1:])]
     while stack:
-        for _ in stack[-1]:
-            if len(stack) < len(chunks):
-                stack.append(chunks[len(stack)]())
+        for match in stack[-1]:
+            if len(stack) < len(calls):
+                function, *arguments = calls[len(stack)]
+                stack.append(function(*arguments))
                 break
-            yield
+            yield match
         else:
             stack.pop()
 
@@ -212,34 +225,34 @@ def homomorphisms(
     ValueError, on a pattern part outside 1..card PartOutOfRangeError; a
     pin to a missing host part finds nothing.
     """
-    if x.schema != y.schema:
+    if x.schema is not y.schema and x.schema != y.schema:
         raise ValueError("homomorphism search requires a shared schema")
-    opts = opts or SearchOptions()
-    if opts.limit is not None and opts.limit < 0:
-        raise ValueError(f"limit must be at least 0, got {opts.limit}")
-    pins = opts.initial or {}
+    monic, pins, limit = (opts.monic, opts.initial or {}, opts.limit) if opts else (False, {}, None)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     for obj, parts in pins.items():
         if obj not in x.card:
             raise ValueError(f"pinned object {obj!r} is not in the schema")
         for part in parts:
             if not 1 <= part <= x.card[obj]:
                 raise PartOutOfRangeError(f"pinned pattern part {part} outside 1..{x.card[obj]} for {obj!r}")
-    if opts.limit == 0:
-        return []
-    keys = tuple((obj, part) for obj, parts in pins.items() for part in parts)
-    if keys not in x.plans:
-        x.plans[keys] = _compile(x, keys)
-    bounds, chunks = x.plans[keys]
-    # the host half: bind each chunk to y's columns, index, parts, pin values and used marks
-    every = {obj: range(1, n + 1) for obj, n in y.card.items()}
-    tables = (y.column, y.index, every, [[v] if v in every[obj] else () for obj, ps in pins.items() for v in ps.values()])
-    used = {obj: [False] * n for obj, n in y.card.items()} if opts.monic else None
+    keys = tuple((obj, part) for obj, parts in pins.items() for part in parts) if pins else ()
+    if (plan := x.plans.get(keys)) is None:
+        if len(x.plans) >= _PLANS:  # the oldest plan goes first
+            del x.plans[next(iter(x.plans))]
+        plan = x.plans[keys] = _compile(x, keys)
+    bounds, chunks = plan
+    # the host half: each chunk is called on y's columns, preimage lists and part counts, the pin values and used marks
+    values = [[v] if v in range(1, y.card[o] + 1) else () for o, ps in pins.items() for v in ps.values()] if pins else ()
+    tables = (y.column, y.index, y.card, values)
+    used = {obj: [False] * n for obj, n in y.card.items()} if monic else None
     a = [0] * bounds[-1]  # the slot list, through which chunks pass values on
-    bound = [partial(_function(shape, opts.monic), a, s, *[tables[k][n] for k, n in hosts], *(used[o] for o in marks if used))
+    calls = [(_function(shape, monic), a, s, *[tables[k][n] for k, n in hosts], *([used[o] for o in marks] if monic else ()))
              for shape, s, hosts, marks in chunks]
-    rows = bound[0]() if len(bound) == 1 else (tuple(a[i:j] for i, j in zip(bounds, bounds[1:])) for _ in _nest(bound))
-    # a row holds one list per object, each of fixed length: rows sort as their components flattened
-    return [_adopt(x, y, dict(zip(x.schema.objects, row))) for row in sorted(islice(rows, opts.limit))]
+    calls[-1] += (object.__new__, Transformation, x, y, *x.schema.objects)  # what the last chunk makes maps with
+    matches = _nest(calls) if len(calls) > 1 else calls[0][0](*calls[0][1:])
+    # a match is its slots by object then part, then its map: matches sort as their components flattened
+    return list(map(itemgetter(-1), sorted(islice(matches, limit))))
 
 
 def is_isomorphic(x: CSetInstance, y: CSetInstance) -> Transformation | None:

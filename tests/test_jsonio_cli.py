@@ -438,6 +438,21 @@ def test_cli_bench_counts(tmp_path):
     assert counts == [2, 4]
 
 
+def test_cli_bench_json_holds_the_rows_and_where_they_ran(capsys, tmp_path):
+    import platform
+
+    assert main(["bench", "--task", "homsearch", "--sizes", "1x1,2x2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["python", "platform", "rows"]
+    assert doc["python"] == platform.python_version() and doc["platform"] == platform.platform()
+    assert [list(row) for row in doc["rows"]] == [["size", "rows", "cols", "count", "seconds", "first_seconds"]] * 2
+    assert [(r["size"], r["rows"], r["cols"], r["count"]) for r in doc["rows"]] == [("1x1", 1, 1, 4), ("2x2", 2, 2, 16)]
+    assert all(r["first_seconds"] > 0 and r["seconds"] > 0 for r in doc["rows"])
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--task", "rewrite", "--sizes", "1x1,1x2", "--json", "-o", str(out)]) == 0
+    assert [r["count"] for r in json.loads(out.read_text())["rows"]] == [2, 4]
+
+
 def test_cli_bench_reports_the_first_call(capsys):
     assert main(["bench", "--task", "step", "--kind", "sqpo", "--sizes", "2x2"]) == 0
     (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))

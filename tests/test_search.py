@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import signal
 from contextlib import contextmanager
+from itertools import chain, permutations
 
 import pytest
 
@@ -322,6 +323,31 @@ def test_a_plan_is_compiled_once_per_pattern_and_pin_keys(monkeypatch):
     assert all(v is None or type(v) in (int, str) for v in _leaves(list(pattern.plans.values())))
 
 
+def test_the_plans_kept_per_pattern_are_capped_oldest_first(graph):
+    # a 4-cycle into a graph with a 2-cycle and a loop, pinned at 200 distinct pin-key tuples
+    x = make_instance(graph, {"V": 4, "E": 4}, {"src": [1, 2, 3, 4], "tgt": [2, 3, 4, 1]})
+    y = make_instance(graph, {"V": 3, "E": 4}, {"src": [1, 2, 3, 1], "tgt": [2, 1, 3, 1]})
+    homs = brute_homs(x, y)
+    parts = [(o, p) for o in ("V", "E") for p in x.parts(o)]
+    seen: list[tuple] = []
+    for n, picked in enumerate(chain(permutations(parts, 2), permutations(parts, 3))):
+        pins: dict[str, dict[int, int]] = {}
+        for o, p in picked:
+            pins.setdefault(o, {})[p] = homs[n % len(homs)].comp[o][p - 1]
+        keys = tuple((o, p) for o, ps in pins.items() for p in ps)
+        if keys in seen:
+            continue
+        seen.append(keys)
+        expected = [t for t in homs if all(t.comp[o][p - 1] == v for o, ps in pins.items() for p, v in ps.items())]
+        assert homomorphisms(x, y, SearchOptions(initial=pins)) == expected != []
+        assert len(x.plans) <= search_module._PLANS
+        if len(seen) == 200:
+            break
+    assert len(seen) == 200 and search_module._PLANS >= 16
+    assert list(x.plans) == seen[-search_module._PLANS:]
+    assert homomorphisms(x, y) == homs and list(x.plans) == [*seen[1 - search_module._PLANS:], ()]
+
+
 def _quad_and_vertices(n: int, host_vertices: int = 0):
     """The quad pattern plus n isolated vertices (V 5..n+4), and mesh_1x2 plus host_vertices isolated ones."""
     from csetrw.colimits import coproduct
@@ -377,6 +403,29 @@ def test_monic_plans_across_chunks_count_as_products():
     assert len(limited) == 9 and all(t in found for t in limited)
     # no room for 24 distinct vertices in mesh_1x2: the search ends with nothing
     assert homomorphisms(pattern, gen_mesh(1, 2), SearchOptions(monic=True)) == []
+
+
+def test_each_match_owns_its_component_lists():
+    quad, pattern, host = _quad_and_vertices(20, 22)
+    apart = {"V": {p: p + 2 for p in range(5, 23)}}  # pattern vertices 5..22 onto isolated host vertices 7..24
+    assert len(search_module._compile(quad, ())[1]) == 1 and len(search_module._compile(pattern, ())[1]) > 1
+    cases = [
+        (quad, SearchOptions()), (quad, SearchOptions(monic=True, limit=5)), (quad, SearchOptions(initial={"V": {1: 2}})),
+        (pattern, SearchOptions(limit=30)), (pattern, SearchOptions(monic=True, initial=apart)),
+        (pattern, SearchOptions(monic=True, initial={"V": {**apart["V"], 1: 2}}, limit=7)),
+    ]
+    for x, opts in cases:
+        found = homomorphisms(x, host, opts)
+        rows = _rows(found)
+        assert len(found) > 1 and rows == sorted(rows)
+        assert all(list(t.comp) == list(x.schema.objects) for t in found)
+        found[0].comp["V"][0] = 0  # another result, and a later search, keep their own lists
+        assert _rows(found[1:]) == rows[1:]
+        for t in found:  # a list two results or two objects shared would take two marks
+            for col in t.comp.values():
+                col.append(-1)
+        assert all(col.count(-1) == 1 for t in found for col in t.comp.values())
+        assert _rows(homomorphisms(x, host, opts)) == rows
 
 
 def test_names_never_reach_the_generated_code():
